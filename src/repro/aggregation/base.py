@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.aggregation.matrix import ParameterMatrix, as_parameter_matrix
 from repro.check import sanitize
-from repro.obs import audit, profile, trace
+from repro.obs import audit, trace
 
 __all__ = [
     "Aggregator",
@@ -128,17 +128,11 @@ class Aggregator(ABC):
     def _run(self, matrix: ParameterMatrix) -> np.ndarray:
         """Dispatch to :meth:`_aggregate` through the observability hooks.
 
-        With neither tracing nor profiling active this is two ``is None``
+        With neither tracing nor auditing active this is two ``is None``
         tests on top of the kernel — the disabled-path cost the
-        ``--trace-overhead`` benchmark gate pins.
+        ``--overhead trace`` and ``--overhead audit`` benchmark gates pin.
         """
-        prof = profile.active()
-        if prof is not None:
-            name = self.name or type(self).__name__
-            with prof.record(f"aggregate.{name}"):
-                out = self._aggregate(matrix)
-        else:
-            out = self._aggregate(matrix)
+        out = self._aggregate(matrix)
         tr = trace.tracer()
         if tr is not None:
             name = self.name or type(self).__name__

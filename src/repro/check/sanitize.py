@@ -6,7 +6,7 @@ proposals/decisions, NN forward/backward results and attack outputs.
 When checks are disabled (the default) the guard returns after one
 module-level boolean test — no array is touched, so the opt-out path
 adds no measurable overhead (asserted by
-``benchmarks/bench_aggregation_kernels.py --sanitize-overhead``).
+``benchmarks/bench_aggregation_kernels.py --overhead sanitize``).
 
 When enabled, a non-finite or overflow-range value raises
 :class:`SanitizerError` carrying provenance — *which* value (``what``),

@@ -31,6 +31,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 __all__ = ["main", "build_parser"]
 
@@ -676,17 +677,6 @@ def _command_manifest(args: argparse.Namespace) -> "dict[str, object]":
     )
 
 
-def _save_audit(
-    args: argparse.Namespace, auditor: object, path: Path
-) -> None:
-    from repro.obs import audit as _audit
-
-    assert isinstance(auditor, _audit.Auditor)
-    auditor.save(path)
-    _audit.write_manifest(_audit.manifest_path_for(path), _command_manifest(args))
-    print(f"saved audit {path}")
-
-
 def main(argv: list[str] | None = None) -> int:
     from contextlib import ExitStack
 
@@ -694,35 +684,34 @@ def main(argv: list[str] | None = None) -> int:
     from repro.obs import trace as _trace
 
     args = build_parser().parse_args(argv)
-    analysis = args.command in _ANALYSIS_COMMANDS
-    trace_path = getattr(args, "trace", None) if not analysis else None
-    audit_path = getattr(args, "audit", None) if not analysis else None
+    # Each record channel: its gate and the --trace/--audit save path.
+    channels: list[tuple[str, Any, Path | None]] = (
+        []
+        if args.command in _ANALYSIS_COMMANDS
+        else [
+            ("trace", _trace.gate, getattr(args, "trace", None)),
+            ("audit", _audit.gate, getattr(args, "audit", None)),
+        ]
+    )
     with ExitStack() as stack:
-        if trace_path is not None:
-            stack.enter_context(_trace.traced(trace_path))
-        cli_auditor = (
-            stack.enter_context(_audit.audited())
-            if audit_path is not None
-            else None
-        )
+        sinks = [
+            stack.enter_context(gate.fresh()) if path is not None else None
+            for _, gate, path in channels
+        ]
         status = _COMMANDS[args.command](args)
-    if trace_path is not None:
-        print(f"saved trace {trace_path}")
-    if audit_path is not None and cli_auditor is not None:
-        _save_audit(args, cli_auditor, audit_path)
-    if not analysis:
-        # REPRO_TRACE/REPRO_AUDIT=<path> installed process-wide
-        # instances at import time; persist what they collected once
-        # the command is done.
-        env_trace = _trace.env_trace_path()
-        tr = _trace.tracer()
-        if trace_path is None and env_trace is not None and tr is not None:
-            tr.save(env_trace)
-            print(f"saved trace {env_trace}")
-        env_audit = _audit.env_audit_path()
-        au = _audit.auditor()
-        if audit_path is None and env_audit is not None and au is not None:
-            _save_audit(args, au, env_audit)
+    for (name, gate, path), sink in zip(channels, sinks):
+        if path is None:
+            # REPRO_TRACE/REPRO_AUDIT=<path> installed a process-wide sink
+            # at import time; persist what it collected.
+            sink, path = gate.active, gate.env_path()
+        if sink is None or path is None:
+            continue
+        sink.save(path)
+        if name == "audit":
+            _audit.write_manifest(
+                _audit.manifest_path_for(path), _command_manifest(args)
+            )
+        print(f"saved {name} {path}")
     return status
 
 

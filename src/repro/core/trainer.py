@@ -254,13 +254,12 @@ class ABDHFLTrainer:
     def run_round(self, evaluate: bool = True) -> RoundRecord:
         """Execute one global round (Algorithm 1)."""
         ctx = sanitize.sanitized(True) if self.config.sanitize else nullcontext()
-        tctx = trace.scoped(self.tracer) if self.tracer is not None else nullcontext()
-        actx = (
-            audit.scoped(self.auditor)
-            if self.auditor is not None
-            else nullcontext()
-        )
-        with ctx, tctx, actx, sanitize.provenance(round_index=self.round_index):
+        with (
+            ctx,
+            trace.scoped(self.tracer),
+            audit.scoped(self.auditor),
+            sanitize.provenance(round_index=self.round_index),
+        ):
             return self._run_round(evaluate)
 
     def _run_round(self, evaluate: bool) -> RoundRecord:
@@ -619,15 +618,10 @@ class ABDHFLTrainer:
                 stack, w_arr, byz_arr, ids_arr = self._apply_quorum(
                     stack, w_arr, np.asarray(byz_flags), np.asarray(ids)
                 )
-                au = audit.auditor()
-                actx = (
-                    au.context(
-                        members=[int(i) for i in ids_arr],
-                        level=level,
-                        cluster=cluster.index,
-                    )
-                    if au is not None
-                    else nullcontext()
+                actx = audit.context(
+                    members=[int(i) for i in ids_arr],
+                    level=level,
+                    cluster=cluster.index,
                 )
                 with sanitize.provenance(node_id=leader), actx:
                     value = self._aggregate_level(
@@ -735,38 +729,23 @@ class ABDHFLTrainer:
                 return record  # no live top node: keep the previous model
             if mask.any():
                 silent = mask
-        au = audit.auditor()
         if spec.kind == "bra":
             members = list(top.members)
             if silent is not None:
                 stack, w_arr = stack[~silent], w_arr[~silent]
                 members = [m for m, gone in zip(members, silent) if not gone]
             aggregator = self._level_bra[0]
-            actx = (
-                au.context(
-                    members=[int(m) for m in members],
-                    level=0,
-                    cluster=top.index,
-                )
-                if au is not None
-                else nullcontext()
-            )
-            with actx:
+            with audit.context(
+                members=[int(m) for m in members], level=0, cluster=top.index
+            ):
                 self.global_model = aggregator(ParameterMatrix(stack, w_arr))
             n = stack.shape[0]
             record.model_messages += 2 * (n - 1)  # collect + broadcast
         else:
             protocol = self._level_cba[0]
-            actx = (
-                au.context(
-                    members=[int(m) for m in top.members],
-                    level=0,
-                    cluster=top.index,
-                )
-                if au is not None
-                else nullcontext()
-            )
-            with actx:
+            with audit.context(
+                members=[int(m) for m in top.members], level=0, cluster=top.index
+            ):
                 result = protocol.agree(
                     ParameterMatrix(stack, w_arr),
                     byzantine_mask=byz_arr,

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.check import sanitize
 from repro.nn.layers import Layer, Linear, ReLU
-from repro.obs import profile
 from repro.utils.flatten import FlatSpec, flatten_arrays, unflatten_vector
 
 __all__ = ["Sequential", "MLP"]
@@ -34,28 +33,14 @@ class Sequential:
     # forward / backward
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        # Wall-clock profiling is benchmark-only (repro.obs.profile); the
-        # disabled path costs one `is None` test.
-        prof = profile.active()
-        if prof is not None:
-            with prof.record("nn.forward"):
-                for layer in self.layers:
-                    x = layer.forward(x, train=train)
-        else:
-            for layer in self.layers:
-                x = layer.forward(x, train=train)
+        for layer in self.layers:
+            x = layer.forward(x, train=train)
         sanitize.assert_finite(x, "forward output")
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        prof = profile.active()
-        if prof is not None:
-            with prof.record("nn.backward"):
-                for layer in reversed(self.layers):
-                    grad_out = layer.backward(grad_out)
-        else:
-            for layer in reversed(self.layers):
-                grad_out = layer.backward(grad_out)
+        for layer in reversed(self.layers):
+            grad_out = layer.backward(grad_out)
         sanitize.assert_finite(grad_out, "backward gradient")
         return grad_out
 

@@ -1,25 +1,28 @@
-"""Observability: sim-time tracing, metrics, run reports, profiling.
+"""Observability: sim-time tracing, defence forensics, metrics, reports.
 
 ``repro.obs`` is the third leg of the repo's tooling tripod — static
 checks live in ``tools/abdlint.py``, runtime correctness in
 :mod:`repro.check`, and *visibility* here:
 
-* :mod:`repro.obs.trace` — span tracer keyed to simulator time (round
-  indices for the round trainer), gated like the sanitizers
-  (``REPRO_TRACE`` / config flag / context manager), zero overhead off;
+* :mod:`repro.obs.record` — the record core both deterministic channels
+  share: one gate (``REPRO_*`` env var / API / context managers, one
+  ``is None`` test when off), one JSON coercion, one JSONL codec;
+* :mod:`repro.obs.trace` — the span channel keyed to simulator time
+  (round indices for the round trainer);
+* :mod:`repro.obs.audit` — the defence-forensics channel: per-device
+  decision records (aggregation evidence, consensus masks,
+  injected-fault ground truth) and run manifests;
 * :mod:`repro.obs.metrics` — deterministic counters/gauges/fixed-bucket
   histograms snapshotted into the trace stream;
-* :mod:`repro.obs.export` — JSONL schema validation and Chrome
+* :mod:`repro.obs.export` — trace schema validation and Chrome
   ``trace_event`` export for ``about://tracing``;
-* :mod:`repro.obs.audit` — defence forensics: per-device decision
-  records (aggregation evidence, consensus masks, injected-fault ground
-  truth) and run manifests, gated exactly like the tracer;
 * :mod:`repro.obs.audit_report` — detection precision/recall tables and
   cross-run regression diffs behind ``python -m repro audit``;
 * :mod:`repro.obs.report` — the Table-V-style wait/compute/comm
-  breakdown behind ``python -m repro report``;
-* :mod:`repro.obs.profile` — wall-clock hooks on the numeric kernels,
-  activatable only explicitly (benchmarks), DET002-carved-out.
+  breakdown behind ``python -m repro report``.
+
+Wall-clock time is not recorded here; ``simbench`` measures per-layer
+wall time from outside the package (see ``simbench/README.md``).
 """
 
 from repro.obs.audit import (
@@ -53,7 +56,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import Profiler, profiling
 from repro.obs.report import PhaseBreakdown, RunReport, build_report, render_report
 from repro.obs.trace import (
     TraceEvent,
@@ -96,8 +98,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Profiler",
-    "profiling",
     "PhaseBreakdown",
     "RunReport",
     "build_report",

@@ -1,22 +1,16 @@
 """Defence forensics: per-device audit records and run manifests.
 
-The auditor is the forensics counterpart of :mod:`repro.obs.trace` and
-follows the exact same gating pattern:
-
-* environment: ``REPRO_AUDIT=1`` (or a file path, read once at import —
-  a path additionally becomes the default save target the CLI uses);
-* API: :func:`enable` / :func:`disable` / the :func:`audited` and
-  :func:`scoped` context managers;
-* trainer: ``ABDHFLConfig(audit=True)`` gives the trainer a private
-  auditor active for every round it runs.
-
-When auditing is off, every emission site pays a single
-``auditor() is None`` test and touches nothing else (asserted by
-``benchmarks/bench_aggregation_kernels.py --audit-overhead``).  When on,
-records are appended to an in-memory list and serialised on demand.
-Auditing is *read-only*: it never draws randomness and never changes
-control flow, so an audited run is bit-identical to an unaudited run and
-the record stream itself is byte-identical for every worker count.
+The audit is one of the two channels over :mod:`repro.obs.record`, which
+owns the gate, the JSON coercion and the JSONL codec.  It is switched on
+by ``REPRO_AUDIT=1`` (or a file path, which also becomes the default
+save target the CLI uses), by :func:`enable` / :func:`audited` /
+:func:`scoped`, or by ``ABDHFLConfig(audit=True)``, which gives the
+trainer a private auditor active for every round it runs.  When auditing
+is off, every emission site pays a single ``auditor() is None`` test
+(gated by ``benchmarks/bench_aggregation_kernels.py --overhead audit``)
+and :func:`context` is a no-op.  An audited run is bit-identical to an
+unaudited run, and the record stream itself is byte-identical for every
+worker count.
 
 Record model (one JSON object per line)
 ---------------------------------------
@@ -50,39 +44,11 @@ package version — enough to attribute any archived run.
 from __future__ import annotations
 
 import json
-import math
-import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import ContextManager, Iterator, Mapping
 
-from repro.obs.trace import _TRUTHY
-
-
-def _jsonable(value: object) -> object:
-    """Coerce ``value`` into deterministic JSON-safe data.
-
-    The :mod:`repro.obs.trace` coercion extended with whole-array
-    support: evidence payloads routinely carry numpy arrays (scores,
-    masks, weights), which collapse to nested lists via ``tolist``.
-    Non-finite floats become ``None``, mappings/sequences recurse, and
-    anything else falls back to ``str``.
-    """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    tolist = getattr(value, "tolist", None)
-    if callable(tolist):  # numpy array or scalar
-        return _jsonable(tolist())
-    item = getattr(value, "item", None)
-    if callable(item):  # other zero-dim duck types
-        return _jsonable(item())
-    return str(value)
+from repro.obs.record import Gate, Sink, jsonable, load_jsonl, save_text
 
 __all__ = [
     "AuditSchemaError",
@@ -93,6 +59,7 @@ __all__ = [
     "disable",
     "scoped",
     "audited",
+    "context",
     "env_audit_path",
     "validate_record",
     "load_audit",
@@ -206,12 +173,17 @@ def validate_record(record: Mapping[str, object]) -> None:
             raise AuditSchemaError(f"{field} must be a JSON object")
 
 
-class Auditor:
+class Auditor(Sink[dict[str, object]]):
     """An in-memory sink of JSON-safe defence decision records."""
 
     def __init__(self) -> None:
-        self.records: list[dict[str, object]] = []
+        super().__init__()
         self._context: list[dict[str, object]] = []
+
+    @property
+    def records(self) -> list[dict[str, object]]:
+        """The recorded records, in execution order."""
+        return self.rows
 
     # ------------------------------------------------------------------
     # emission
@@ -241,44 +213,13 @@ class Auditor:
             if value is not None:
                 merged[key] = value
         merged.setdefault("step", 0)
-        self.records.append({k: _jsonable(v) for k, v in merged.items()})
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """Serialise all records, one sorted-key JSON object per line."""
-        lines = [
-            json.dumps(r, sort_keys=True, allow_nan=False)
-            for r in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def save(self, path: "str | Path") -> Path:
-        """Write the JSONL record stream to ``path`` (parents created)."""
-        target = Path(path)
-        if target.parent != Path("."):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_jsonl(), encoding="utf-8")
-        return target
+        self.rows.append({k: jsonable(v) for k, v in merged.items()})
 
 
 # ----------------------------------------------------------------------
-# process-wide gating (the repro.obs.trace pattern)
+# process-wide gating (the repro.obs.record core)
 # ----------------------------------------------------------------------
-def _env_setting() -> str:
-    return os.environ.get("REPRO_AUDIT", "").strip()
-
-
-def env_audit_path() -> Path | None:
-    """The save path carried by ``REPRO_AUDIT`` (``None`` for bare ``1``)."""
-    value = _env_setting()
-    if not value or value.lower() in _TRUTHY:
-        return None
-    return Path(value)
-
-
-_auditor: Auditor | None = Auditor() if _env_setting() else None
+gate: Gate[Auditor] = Gate("REPRO_AUDIT", Auditor)
 
 
 def auditor() -> Auditor | None:
@@ -287,52 +228,33 @@ def auditor() -> Auditor | None:
     This is THE gate every emission site checks; the disabled path is
     this single attribute read.
     """
-    return _auditor
+    return gate.active
 
 
-def enabled() -> bool:
-    """Whether auditing is currently on."""
-    return _auditor is not None
+enabled = gate.enabled
+enable = gate.enable
+disable = gate.disable
+scoped = gate.scoped
+audited = gate.fresh
+env_audit_path = gate.env_path
 
 
-def enable(instance: Auditor | None = None) -> Auditor:
-    """Install ``instance`` (or a fresh :class:`Auditor`) process-wide."""
-    global _auditor
-    _auditor = instance if instance is not None else Auditor()
-    return _auditor
-
-
-def disable() -> None:
-    """Turn auditing off process-wide."""
-    global _auditor
-    _auditor = None
-
-
-@contextmanager
-def scoped(instance: Auditor) -> Iterator[Auditor]:
-    """Scope with ``instance`` installed; the previous auditor is restored."""
-    global _auditor
-    previous = _auditor
-    _auditor = instance
-    try:
-        yield instance
-    finally:
-        _auditor = previous
-
-
-@contextmanager
-def audited(path: "str | Path | None" = None) -> Iterator[Auditor]:
-    """Scope with a *fresh* auditor; optionally saved to ``path`` on exit."""
-    instance = Auditor()
-    with scoped(instance):
-        yield instance
-    if path is not None:
-        instance.save(path)
+def context(**fields: object) -> ContextManager[None]:
+    """:meth:`Auditor.context` on the active auditor; a no-op when off."""
+    au = gate.active
+    return nullcontext() if au is None else au.context(**fields)
 
 
 # ----------------------------------------------------------------------
 # loading
 # ----------------------------------------------------------------------
+def _parse_record(obj: object) -> dict[str, object]:
+    if not isinstance(obj, dict):
+        raise AuditSchemaError("record is not a JSON object")
+    validate_record(obj)
+    return obj
+
+
 def load_audit(
     path: "str | Path", strict: bool = False
 ) -> tuple[list[dict[str, object]], list[tuple[int, str]]]:
@@ -342,24 +264,9 @@ def load_audit(
     ``strict=True`` the first one raises :class:`AuditSchemaError`
     instead.  Blank lines are ignored.
     """
-    records: list[dict[str, object]] = []
-    skipped: list[tuple[int, str]] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise AuditSchemaError("record is not a JSON object")
-            validate_record(record)
-        except (json.JSONDecodeError, AuditSchemaError) as exc:
-            if strict:
-                raise AuditSchemaError(f"line {lineno}: {exc}") from exc
-            skipped.append((lineno, str(exc)))
-            continue
-        records.append(record)
-    return records, skipped
+    return load_jsonl(
+        path, _parse_record, AuditSchemaError, strict=strict, where="line {lineno}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -395,26 +302,21 @@ def build_manifest(
     if command is not None:
         manifest["command"] = command
     if spec is not None:
-        manifest["spec"] = _jsonable(spec)
+        manifest["spec"] = jsonable(spec)
     if seed is not None:
         manifest["seed"] = int(seed)
     if registries is not None:
-        manifest["registries"] = _jsonable(registries)
+        manifest["registries"] = jsonable(registries)
     if extra is not None:
-        manifest["extra"] = _jsonable(extra)
+        manifest["extra"] = jsonable(extra)
     return manifest
 
 
 def write_manifest(path: "str | Path", manifest: Mapping[str, object]) -> Path:
     """Write ``manifest`` as sorted-key JSON to ``path`` (parents created)."""
-    target = Path(path)
-    if target.parent != Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n",
-        encoding="utf-8",
+    return save_text(
+        path, json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
-    return target
 
 
 def load_manifest(path: "str | Path") -> dict[str, object]:

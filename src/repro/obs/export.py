@@ -15,6 +15,7 @@ import math
 from pathlib import Path
 from typing import Iterable
 
+from repro.obs.record import load_jsonl, save_text
 from repro.obs.trace import PHASES, TraceEvent
 
 __all__ = [
@@ -74,20 +75,8 @@ def validate_event(obj: object, context: str = "") -> dict[str, object]:
 
 
 def load_trace(path: "str | Path") -> list[dict[str, object]]:
-    """Load and validate a JSONL trace file."""
-    events: list[dict[str, object]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            context = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceSchemaError(f"{context}: invalid JSON: {exc}") from None
-            events.append(validate_event(obj, context=context))
-    return events
+    """Load and validate a JSONL trace file; the first bad line raises."""
+    return load_jsonl(path, validate_event, TraceSchemaError, strict=True)[0]
 
 
 def load_trace_lenient(
@@ -102,23 +91,7 @@ def load_trace_lenient(
     user how many lines were ignored (``--strict`` restores the
     all-or-nothing behaviour of :func:`load_trace`).
     """
-    events: list[dict[str, object]] = []
-    skipped: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                skipped.append((lineno, f"invalid JSON: {exc}"))
-                continue
-            try:
-                events.append(validate_event(obj))
-            except TraceSchemaError as exc:
-                skipped.append((lineno, str(exc)))
-    return events, skipped
+    return load_jsonl(path, validate_event, TraceSchemaError)
 
 
 # ----------------------------------------------------------------------
@@ -183,12 +156,8 @@ def write_chrome_trace(
     path: "str | Path", events: "Iterable[dict[str, object] | TraceEvent]"
 ) -> Path:
     """Write the Chrome-format trace JSON to ``path``."""
-    target = Path(path)
-    if target.parent != Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
+    return save_text(
+        path,
         json.dumps(to_chrome_trace(events), sort_keys=True, allow_nan=False)
         + "\n",
-        encoding="utf-8",
     )
-    return target

@@ -1,29 +1,19 @@
 """Span tracing keyed to simulator time, with deterministic JSONL output.
 
-The tracer is the observability counterpart of
-:mod:`repro.check.sanitize` and follows the same gating pattern:
+The trace is one of the two channels over :mod:`repro.obs.record`, which
+owns the gate, the JSON coercion and the JSONL codec.  It is switched on
+by ``REPRO_TRACE=1`` (or a file path, which also becomes the default
+save target the CLI uses), by :func:`enable` / :func:`traced` /
+:func:`scoped`, or by ``ABDHFLConfig(trace=True)``, which gives the
+trainer a private tracer active for every round it runs.  When tracing
+is off, every instrumentation site pays a single ``tracer() is None``
+test (gated by ``benchmarks/bench_aggregation_kernels.py --overhead
+trace``).
 
-* environment: ``REPRO_TRACE=1`` (or a file path, read once at import —
-  a path additionally becomes the default save target the CLI uses);
-* API: :func:`enable` / :func:`disable` / the :func:`traced` and
-  :func:`scoped` context managers;
-* trainer: ``ABDHFLConfig(trace=True)`` gives the trainer a private
-  tracer active for every round it runs.
-
-When tracing is off, every instrumentation site in the hot paths pays a
-single ``tracer() is None`` test and touches nothing else (asserted by
-``benchmarks/bench_aggregation_kernels.py --trace-overhead``).  When on,
-events are appended to an in-memory list and serialised on demand.
-
-Determinism contract
---------------------
-Tracing is *read-only*: it never draws randomness, never schedules
-events, and never reorders anything — a traced run is bit-identical to
-an untraced run.  The trace itself is deterministic too: events are
-recorded in execution order, timestamps are simulation time (or round
-indices for the round-synchronous trainer — never the wall clock), JSON
-keys are sorted and non-finite floats are mapped to ``null``, so
-identical seeds produce byte-identical trace files.
+Timestamps are simulation time, or round indices for the
+round-synchronous trainer — never the wall clock — so identical seeds
+produce byte-identical trace files, and a traced run is bit-identical
+to an untraced one.
 
 Event model (one JSON object per line)
 --------------------------------------
@@ -46,15 +36,11 @@ Event model (one JSON object per line)
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Mapping
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.record import Gate, Sink, jsonable
 
 __all__ = [
     "TraceEvent",
@@ -68,31 +54,8 @@ __all__ = [
     "env_trace_path",
 ]
 
-_TRUTHY = ("1", "true", "on", "yes")
-
 #: Valid ``ph`` phase codes: span, instant, metrics sample.
 PHASES: tuple[str, ...] = ("X", "i", "C")
-
-
-def _jsonable(value: object) -> object:
-    """Coerce ``value`` into deterministic JSON-safe data.
-
-    Non-finite floats become ``None`` (strict JSON has no NaN/Inf), numpy
-    scalars collapse to their python value, mappings/sequences recurse,
-    and anything else falls back to ``str``.
-    """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    item = getattr(value, "item", None)
-    if callable(item):  # numpy scalar
-        return _jsonable(item())
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -123,12 +86,20 @@ class TraceEvent:
         return out
 
 
-class Tracer:
+class Tracer(Sink[TraceEvent]):
     """An in-memory event sink plus its metrics registry."""
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        super().__init__()
         self.metrics = MetricsRegistry()
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The recorded events, in execution order."""
+        return self.rows
+
+    def row_dict(self, row: TraceEvent) -> dict[str, object]:
+        return row.as_dict()
 
     # ------------------------------------------------------------------
     # emission
@@ -145,14 +116,14 @@ class Tracer:
         t = float(t)
         if not math.isfinite(t):
             return  # a NaN timestamp carries no information worth keeping
-        self.events.append(
+        self.rows.append(
             TraceEvent(
                 name=name,
                 cat=cat,
                 ph="i",
                 t=t,
                 actor=actor,
-                args={k: _jsonable(v) for k, v in args.items()},
+                args={k: jsonable(v) for k, v in args.items()},
             )
         )
 
@@ -170,7 +141,7 @@ class Tracer:
         end = float(end)
         if not (math.isfinite(start) and math.isfinite(end)) or end < start:
             return
-        self.events.append(
+        self.rows.append(
             TraceEvent(
                 name=name,
                 cat=cat,
@@ -178,7 +149,7 @@ class Tracer:
                 t=start,
                 dur=end - start,
                 actor=actor,
-                args={k: _jsonable(v) for k, v in args.items()},
+                args={k: jsonable(v) for k, v in args.items()},
             )
         )
 
@@ -188,52 +159,21 @@ class Tracer:
         if not math.isfinite(t):
             return
         for name, snap in self.metrics.snapshot().items():
-            self.events.append(
+            self.rows.append(
                 TraceEvent(
                     name=name,
                     cat="metrics",
                     ph="C",
                     t=t,
-                    args={k: _jsonable(v) for k, v in snap.items()},
+                    args={k: jsonable(v) for k, v in snap.items()},
                 )
             )
 
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """Serialise all events, one sorted-key JSON object per line."""
-        lines = [
-            json.dumps(e.as_dict(), sort_keys=True, allow_nan=False)
-            for e in self.events
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def save(self, path: "str | Path") -> Path:
-        """Write the JSONL trace to ``path`` (parents created)."""
-        target = Path(path)
-        if target.parent != Path("."):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_jsonl(), encoding="utf-8")
-        return target
-
 
 # ----------------------------------------------------------------------
-# process-wide gating (the repro.check.sanitize pattern)
+# process-wide gating (the repro.obs.record core)
 # ----------------------------------------------------------------------
-def _env_setting() -> str:
-    return os.environ.get("REPRO_TRACE", "").strip()
-
-
-def env_trace_path() -> Path | None:
-    """The save path carried by ``REPRO_TRACE`` (``None`` for bare ``1``)."""
-    value = _env_setting()
-    if not value or value.lower() in _TRUTHY:
-        return None
-    return Path(value)
-
-
-_tracer: Tracer | None = Tracer() if _env_setting() else None
+gate: Gate[Tracer] = Gate("REPRO_TRACE", Tracer)
 
 
 def tracer() -> Tracer | None:
@@ -242,44 +182,12 @@ def tracer() -> Tracer | None:
     This is THE gate every instrumentation site checks; the disabled
     path is this single attribute read.
     """
-    return _tracer
+    return gate.active
 
 
-def enabled() -> bool:
-    """Whether tracing is currently on."""
-    return _tracer is not None
-
-
-def enable(instance: Tracer | None = None) -> Tracer:
-    """Install ``instance`` (or a fresh :class:`Tracer`) process-wide."""
-    global _tracer
-    _tracer = instance if instance is not None else Tracer()
-    return _tracer
-
-
-def disable() -> None:
-    """Turn tracing off process-wide."""
-    global _tracer
-    _tracer = None
-
-
-@contextmanager
-def scoped(instance: Tracer) -> Iterator[Tracer]:
-    """Scope with ``instance`` installed; the previous tracer is restored."""
-    global _tracer
-    previous = _tracer
-    _tracer = instance
-    try:
-        yield instance
-    finally:
-        _tracer = previous
-
-
-@contextmanager
-def traced(path: "str | Path | None" = None) -> Iterator[Tracer]:
-    """Scope with a *fresh* tracer; optionally saved to ``path`` on exit."""
-    instance = Tracer()
-    with scoped(instance):
-        yield instance
-    if path is not None:
-        instance.save(path)
+enabled = gate.enabled
+enable = gate.enable
+disable = gate.disable
+scoped = gate.scoped
+traced = gate.fresh
+env_trace_path = gate.env_path

@@ -26,7 +26,7 @@ provides two fan-out surfaces, both with a hard bit-identity contract:
 Gating follows the sanitize/trace pattern: ``workers=1`` (the default)
 *is* the serial code path — a plain comprehension, no pool, no pickling
 — and costs nothing (asserted by ``benchmarks/bench_aggregation_kernels.py
---parallel-overhead``).  The worker count resolves from an explicit
+--overhead parallel``).  The worker count resolves from an explicit
 argument, the ``REPRO_WORKERS`` environment variable
 (:func:`resolve_workers`), ``ABDHFLConfig(workers=...)`` or the CLI
 ``--workers`` flag.

@@ -9,27 +9,29 @@ Determinism comes from two rules:
 
 * **ordered reduction** — results are collected with ``Pool.map``, which
   returns them in *input* order no matter which worker finished first;
-* **per-task trace scoping** — when an ambient tracer (or auditor) is
-  installed, each task (serial or remote) runs under a fresh private
-  instance whose events/records are replayed into the ambient one in
-  input order.  The merged trace and audit streams are therefore
-  byte-identical for every worker count, including 1.
+* **per-task capture and replay** — for every record channel with an
+  ambient sink installed (trace, audit), each task — serial or remote —
+  runs under a fresh private sink whose rows are replayed into the
+  ambient one in input order.  One capture loop serves both paths, so
+  the merged trace and audit streams are byte-identical for every
+  worker count, including 1.
 
 With tracing and auditing off and ``workers=1`` the call is a plain list
 comprehension: no pool, no pickling, no wrapper frame — the zero-overhead
-contract checked by ``bench_aggregation_kernels.py --parallel-overhead``.
+contract checked by ``bench_aggregation_kernels.py --overhead parallel``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from contextlib import nullcontext
+from contextlib import ExitStack
 from multiprocessing.context import BaseContext
-from typing import Callable, ContextManager, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 from repro.check import sanitize
 from repro.obs import audit, trace
+from repro.obs.record import Gate
 from repro.parallel.config import ENV_VAR, resolve_workers
 
 __all__ = ["parallel_map", "spawn_context"]
@@ -60,36 +62,42 @@ def _init_worker() -> None:
     os.environ[ENV_VAR] = "1"
 
 
+#: The record channels whose ambient sinks a task's rows are replayed into.
+_CHANNELS: tuple[Gate[Any], ...] = (trace.gate, audit.gate)
+
+#: One task's result plus, per channel, its captured rows (``None`` when
+#: that channel is off).
+_Outcome = tuple[_R, list[list[object] | None]]
+
+
+def _captured(
+    fn: Callable[[_T], _R], item: _T, capture: tuple[bool, ...]
+) -> _Outcome[_R]:
+    """Run ``fn(item)`` with a fresh private sink per captured channel."""
+    sinks = [
+        gate.factory() if on else None for gate, on in zip(_CHANNELS, capture)
+    ]
+    with ExitStack() as stack:
+        for gate, sink in zip(_CHANNELS, sinks):
+            stack.enter_context(gate.scoped(sink))
+        result = fn(item)
+    return result, [None if sink is None else sink.rows for sink in sinks]
+
+
 def _run_task(
-    payload: tuple[Callable[[_T], _R], _T, bool, bool, bool],
-) -> tuple[_R, list[trace.TraceEvent] | None, list[dict[str, object]] | None]:
+    payload: tuple[Callable[[_T], _R], _T, bool, tuple[bool, ...]],
+) -> _Outcome[_R]:
     """Execute one task inside a worker process.
 
     Module-level by spawn-safety rule 1 (DESIGN.md): spawn workers import
     this function by qualified name, so it must never live in
-    ``__main__``.  The parent's sanitize flag is re-applied and, when the
-    parent traces (audits), the task's events (records) are captured in a
-    private tracer (auditor) and shipped back for ordered merging.
+    ``__main__``.  The parent's sanitize flag is re-applied and the
+    task's rows are captured for every channel the parent records, then
+    shipped back for ordered merging.
     """
-    fn, item, sanitize_on, capture_trace, capture_audit = payload
+    fn, item, sanitize_on, capture = payload
     with sanitize.sanitized(sanitize_on):
-        task_tracer = trace.Tracer() if capture_trace else None
-        task_auditor = audit.Auditor() if capture_audit else None
-        tctx: ContextManager[object] = (
-            trace.scoped(task_tracer) if task_tracer is not None else nullcontext()
-        )
-        actx: ContextManager[object] = (
-            audit.scoped(task_auditor)
-            if task_auditor is not None
-            else nullcontext()
-        )
-        with tctx, actx:
-            result = fn(item)
-        return (
-            result,
-            task_tracer.events if task_tracer is not None else None,
-            task_auditor.records if task_auditor is not None else None,
-        )
+        return _captured(fn, item, capture)
 
 
 def parallel_map(
@@ -113,48 +121,26 @@ def parallel_map(
     """
     work = list(items)
     n_workers = min(resolve_workers(workers), max(1, len(work)))
-    ambient = trace.tracer()
-    ambient_audit = audit.auditor()
+    ambient = [gate.active for gate in _CHANNELS]
+    capture = tuple(sink is not None for sink in ambient)
 
+    outcomes: Iterable[_Outcome[_R]]
     if n_workers <= 1:
-        if ambient is None and ambient_audit is None:
+        if not any(capture):
             return [fn(item) for item in work]
-        # Traced/audited serial path: scope each task exactly like a
-        # worker would so the merged streams are invariant to the worker
-        # count.
-        results: list[_R] = []
-        for item in work:
-            task_tracer = trace.Tracer() if ambient is not None else None
-            task_auditor = audit.Auditor() if ambient_audit is not None else None
-            tctx: ContextManager[object] = (
-                trace.scoped(task_tracer)
-                if task_tracer is not None
-                else nullcontext()
-            )
-            actx: ContextManager[object] = (
-                audit.scoped(task_auditor)
-                if task_auditor is not None
-                else nullcontext()
-            )
-            with tctx, actx:
-                results.append(fn(item))
-            if ambient is not None and task_tracer is not None:
-                ambient.events.extend(task_tracer.events)
-            if ambient_audit is not None and task_auditor is not None:
-                ambient_audit.records.extend(task_auditor.records)
-        return results
-
-    payloads = [
-        (fn, item, sanitize.enabled(), ambient is not None, ambient_audit is not None)
-        for item in work
-    ]
-    with spawn_context().Pool(processes=n_workers, initializer=_init_worker) as pool:
-        outcomes = pool.map(_run_task, payloads, chunksize=1)
+        # Recorded serial path: capture each task exactly like a worker
+        # would so the merged streams are invariant to the worker count.
+        outcomes = (_captured(fn, item, capture) for item in work)
+    else:
+        payloads = [(fn, item, sanitize.enabled(), capture) for item in work]
+        with spawn_context().Pool(
+            processes=n_workers, initializer=_init_worker
+        ) as pool:
+            outcomes = pool.map(_run_task, payloads, chunksize=1)
     results = []
-    for result, shard, audit_shard in outcomes:  # input order == reduction order
+    for result, shards in outcomes:  # input order == reduction order
         results.append(result)
-        if ambient is not None and shard:
-            ambient.events.extend(shard)
-        if ambient_audit is not None and audit_shard:
-            ambient_audit.records.extend(audit_shard)
+        for sink, rows in zip(ambient, shards):
+            if sink is not None and rows:
+                sink.rows.extend(rows)
     return results

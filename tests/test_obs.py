@@ -1,9 +1,9 @@
 """Tests for the observability stack (:mod:`repro.obs`).
 
 Covers the tracer and its gating, the deterministic metrics registry,
-schema validation / Chrome export, the Table-V-style run report, the
-benchmark-only wall-clock profiler, and the instrumentation hooks wired
-into the channel, aggregators, NN and trainer.
+schema validation / Chrome export, the Table-V-style run report, and
+the instrumentation hooks wired into the channel, aggregators and
+trainer.
 """
 
 import json
@@ -15,23 +15,22 @@ import pytest
 from repro.aggregation import get_aggregator
 from repro.faults import FaultPlan, FaultyChannel
 from repro.obs import (
+    Auditor,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    Profiler,
     TraceEvent,
     Tracer,
     TraceSchemaError,
     build_report,
     load_trace,
-    profiling,
     render_report,
     to_chrome_trace,
     validate_event,
     write_chrome_trace,
 )
-from repro.obs import profile, trace
+from repro.obs import trace
 from repro.pipeline.event_run import EventDrivenRun, TimingConfig
 from repro.sim.engine import Simulator
 from repro.sim.latency import FixedLatency, UniformLatency
@@ -252,6 +251,9 @@ class TestGating:
         with trace.scoped(inner):
             assert trace.tracer() is inner
         assert trace.tracer() is outer
+        with trace.scoped(None) as none:  # no private tracer: gate untouched
+            assert none is None and trace.tracer() is outer
+        assert trace.tracer() is outer
 
     def test_traced_installs_fresh_tracer_and_saves(self, tmp_path):
         path = tmp_path / "out.jsonl"
@@ -327,6 +329,42 @@ class TestLoadTrace:
         path = tmp_path / "t.jsonl"
         path.write_text('\n{"name": "a", "cat": "c", "ph": "i", "t": 0}\n\n')
         assert len(load_trace(path)) == 1
+
+
+class TestRecordCodec:
+    """Trace and audit share one JSON coercion and one JSONL writer."""
+
+    PAYLOAD = {
+        "scalars": (np.float64(0.5), np.int32(-3), np.bool_(True), False, None),
+        "arrays": [
+            np.array(2.5),
+            np.arange(3),
+            np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+        ],
+        "keys": {np.int64(7): "seven", 2: (1, "x")},
+        "nonfinite": (float("nan"), np.float32("inf")),
+    }
+    PAYLOAD_JSON = (
+        '{"arrays": [2.5, [0, 1, 2], [[1.0, null], [null, null]]], '
+        '"keys": {"2": [1, "x"], "7": "seven"}, "nonfinite": [null, null], '
+        '"scalars": [0.5, -3, true, false, null]}'
+    )
+
+    def test_both_channels_serialise_one_payload_identically(self):
+        tr = Tracer()
+        tr.instant("x", "c", 0.0, actor=1, v=np.arange(3), payload=self.PAYLOAD)
+        assert tr.to_jsonl() == (
+            f'{{"actor": 1, "args": {{"payload": {self.PAYLOAD_JSON}, '
+            '"v": [0, 1, 2]}, "cat": "c", "name": "x", "ph": "i", "t": 0.0}\n'
+        )
+        au = Auditor()
+        with au.context(cell={"defence": "krum"}, members=None):
+            with au.context(step=np.int64(2), members=[np.int64(0), 1], trial=None):
+                au.record("metric", name="payload", value=self.PAYLOAD, members=None)
+        assert au.to_jsonl() == (
+            '{"cell": {"defence": "krum"}, "kind": "metric", "members": [0, 1], '
+            f'"name": "payload", "step": 2, "value": {self.PAYLOAD_JSON}}}\n'
+        )
 
 
 class TestChromeExport:
@@ -460,70 +498,6 @@ class TestRenderReport:
         text = render_report(tr.events)
         assert "no spans recorded" in text
         assert "1 trace events" in text
-
-
-# ======================================================================
-# wall-clock profiler (benchmarks only)
-# ======================================================================
-class TestProfiler:
-    def test_record_accumulates_exact_fold(self):
-        prof = Profiler()
-        with prof.record("work"):
-            pass
-        with prof.record("work"):
-            pass
-        rec = prof.records["work"]
-        assert rec.count == 2
-        assert rec.total >= rec.max >= rec.min >= 0.0
-        assert rec.mean == pytest.approx(rec.total / 2)
-
-    def test_record_survives_exceptions(self):
-        prof = Profiler()
-        with pytest.raises(RuntimeError):
-            with prof.record("boom"):
-                raise RuntimeError
-        assert prof.records["boom"].count == 1
-
-    def test_summary_is_name_sorted(self):
-        prof = Profiler()
-        with prof.record("b"):
-            pass
-        with prof.record("a"):
-            pass
-        assert list(prof.summary()) == ["a", "b"]
-
-    def test_not_active_by_default_and_ctx_restores(self):
-        assert profile.active() is None
-        outer = Profiler()
-        with profiling(outer) as installed:
-            assert installed is outer and profile.active() is outer
-            with profiling() as inner:
-                assert profile.active() is inner is not outer
-            assert profile.active() is outer
-        assert profile.active() is None
-
-    def test_nn_forward_backward_hooks(self, tiny_model, rng):
-        x = rng.standard_normal((4, 64))
-        with profiling() as prof:
-            out = tiny_model.forward(x)
-            tiny_model.backward(np.ones_like(out))
-        assert prof.records["nn.forward"].count == 1
-        assert prof.records["nn.backward"].count == 1
-
-    def test_aggregation_hook_records_rule_name(self, rng):
-        fedavg = get_aggregator("fedavg")
-        matrix = rng.standard_normal((5, 8))
-        with profiling() as prof:
-            fedavg(matrix)
-        assert prof.records["aggregate.fedavg"].count == 1
-
-    def test_profiling_does_not_change_results(self, rng):
-        fedavg = get_aggregator("fedavg")
-        matrix = rng.standard_normal((5, 8))
-        baseline = fedavg(matrix)
-        with profiling():
-            profiled = fedavg(matrix)
-        np.testing.assert_array_equal(profiled, baseline)
 
 
 # ======================================================================

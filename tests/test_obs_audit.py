@@ -82,6 +82,18 @@ def test_context_fields_and_step_precedence():
     assert au.records[2]["step"] == 9  # explicit beats ambient
 
 
+def test_module_context_frames_the_active_auditor_and_is_a_noop_when_off():
+    with audit.context(cell={"defence": "median"}):
+        assert audit.auditor() is None
+    with audit.audited() as au:
+        with audit.context(cell={"defence": "krum"}, level=None):
+            au.record("metric", name="gap", value=1.0)
+    assert au.records == [
+        {"cell": {"defence": "krum"}, "kind": "metric", "name": "gap",
+         "step": 0, "value": 1.0}
+    ]
+
+
 def test_records_are_json_safe_and_round_trip(tmp_path):
     au = audit.Auditor()
     au.record(

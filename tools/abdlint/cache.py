@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 #: Bump on any change to rules or to the ModuleSummary format.
-ENGINE_VERSION = "2.2.0"
+ENGINE_VERSION = "2.3.0"
 
 CACHE_DIR_NAME = ".abdlint_cache"
 _CACHE_FILE = "summaries.json"

@@ -17,7 +17,7 @@ RULES: dict[str, str] = {
     "DET001": "global-state RNG call; use a seeded np.random.Generator "
     "from repro.utils.seeding",
     "DET002": "wall-clock read in deterministic code; only benchmarks/ "
-    "and repro/obs/profile.py may read real time",
+    "may read real time",
     "DET003": "iteration over an unordered set; wrap in sorted(...) or "
     "use an ordered container",
     "DET004": "process fan-out outside repro.parallel; use parallel_map/"
@@ -105,7 +105,6 @@ class FileKind:
     is_benchmarks: bool
     is_seeding: bool
     is_invariants: bool
-    is_profiling: bool
     is_parallel: bool
     is_shm_owner: bool
     is_scenario: bool
@@ -127,9 +126,6 @@ class FileKind:
             is_benchmarks="benchmarks" in parts[:-1] or name.startswith("bench_"),
             is_seeding=posix.endswith("repro/utils/seeding.py"),
             is_invariants=posix.endswith("repro/check/invariants.py"),
-            # The single wall-clock carve-out in src/: benchmark-only
-            # profiling hooks (see its module docstring).
-            is_profiling=posix.endswith("repro/obs/profile.py"),
             # The single process-fan-out carve-out: the deterministic
             # pool backend itself.
             is_parallel="repro/parallel" in posix,

@@ -346,7 +346,7 @@ class Linter(ast.NodeVisitor):
             self.report(node, "DET001", f"np.random.{leaf}() {detail}")
 
     def _check_clock(self, node: ast.Call, dotted: str) -> None:
-        if self.kind.is_benchmarks or self.kind.is_profiling:
+        if self.kind.is_benchmarks:
             return
         if dotted in _WALL_CLOCK:
             self.report(
