@@ -11,18 +11,22 @@ uniform, and the linear rule loses everywhere.
 
 from __future__ import annotations
 
-from repro.experiments.matrix import DEFAULT_ATTACKS, DEFAULT_DEFENCES, run_defence_matrix
+from repro.experiments.matrix import DEFAULT_ATTACKS, DEFAULT_DEFENCES
+from repro.scenario import ScenarioRunner, matrix_spec
 from repro.utils.reporting import emit_report
 from repro.utils.tables import format_table
 
 
 def test_defence_matrix(benchmark, workers):
-    cells = benchmark.pedantic(
-        run_defence_matrix,
-        kwargs={"byzantine_fraction": 0.25, "n_trials": 6, "workers": workers},
-        rounds=1,
-        iterations=1,
+    spec = matrix_spec(
+        defences=DEFAULT_DEFENCES,
+        attacks=DEFAULT_ATTACKS,
+        fractions=(0.25,),
+        n_trials=6,
     )
+    cells = benchmark.pedantic(
+        ScenarioRunner(workers=workers).run, args=(spec,), rounds=1, iterations=1
+    ).cells
     gap = {(c.defence, c.attack): c.gap for c in cells}
     rows = []
     for defence in DEFAULT_DEFENCES:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import ExperimentConfig
-from repro.experiments.table5 import format_table5, run_table5
+from repro.experiments.table5 import format_table5
+from repro.scenario import ScenarioRunner, accuracy_spec
 from repro.utils.reporting import emit_report
 
 FRACTIONS = (0.0, 0.30, 0.50, 0.578, 0.65)
@@ -26,15 +27,13 @@ FRACTIONS = (0.0, 0.30, 0.50, 0.578, 0.65)
 def _run_quadrant(
     iid: bool, attack: str, n_rounds: int, workers: int | None = None
 ) -> list:
-    base = ExperimentConfig(n_rounds=n_rounds).for_distribution(iid)
-    return run_table5(
-        base,
+    spec = accuracy_spec(
+        ExperimentConfig(n_rounds=n_rounds),
         fractions=FRACTIONS,
-        distributions=(iid,),
+        distributions=("iid" if iid else "noniid",),
         attacks=(attack,),
-        n_runs=1,
-        workers=workers,
     )
+    return ScenarioRunner(workers=workers).run(spec).cells
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 
 from repro.experiments import ExperimentConfig
-from repro.experiments.table5 import format_table5, run_table5
+from repro.scenario import ScenarioRunner, accuracy_spec
 from repro.topology.analysis import max_byzantine_fraction
 from repro.utils.tables import format_percent
 
@@ -28,16 +28,14 @@ def main(iid: bool = True) -> None:
         "Theorem 2 bound for gamma1=gamma2=25%, 3 levels: "
         f"{format_percent(bound, 4)}"
     )
-    base = ExperimentConfig(n_rounds=20).for_distribution(iid)
-    cells = run_table5(
-        base,
+    spec = accuracy_spec(
+        ExperimentConfig(n_rounds=20),
         fractions=(0.0, 0.2, 0.4, 0.578, 0.65),
-        distributions=(iid,),
+        distributions=("iid" if iid else "noniid",),
         attacks=("type1",),
-        n_runs=1,
     )
     print()
-    print(format_table5(cells))
+    print(ScenarioRunner().run(spec).table)
     print(
         "\nreduced scale (20 rounds, 12x12 synthetic digits); see "
         "ExperimentConfig.paper_scale() for the full Appendix D settings"

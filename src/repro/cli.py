@@ -14,9 +14,13 @@ Commands map one-to-one onto the experiment runners:
 ``audit``     — forensic detection report / cross-run diff from audit
 records
 
-Every command accepts ``--rounds``, ``--seed`` and an optional ``--out``
-directory for persisted results.  Defaults are the reduced scale;
-``--paper-scale`` switches to the full Appendix D configuration.
+Every command accepts ``--rounds`` and ``--seed``.  ``--out DIR``
+persists results for the commands that produce them: the grid commands
+(``table5``, ``matrix``, ``scenario run``) write ``report.txt``,
+``cells.json``, ``cells.csv`` and ``manifest.json``; ``figure3`` writes
+``figure3.npz``.  ``schemes``, ``tolerance`` and ``pipeline`` only print.
+Defaults are the reduced scale; ``--paper-scale`` switches to the full
+Appendix D configuration.
 ``--trace PATH`` records a :mod:`repro.obs` trace of the command to
 ``PATH`` (equivalent to running under ``REPRO_TRACE=PATH``); the trace
 can then be inspected with ``python -m repro report PATH``.
@@ -281,30 +285,38 @@ def _base_config(args: argparse.Namespace):
     return cfg
 
 
-def _cmd_table5(args: argparse.Namespace) -> int:
-    from repro.experiments.table5 import format_table5, run_table5
-    from repro.experiments.io import save_cells_json
+def _run_spec(args: argparse.Namespace, spec: Any, command: str) -> int:
+    """Run a grid spec, print its report and, with ``--out``, persist the
+    run's artifacts (report, cells, manifest, audit stream)."""
+    from repro.scenario.runner import ScenarioRunner, persist_result, run_manifest
 
-    cfg = _base_config(args)
-    distributions = {
-        "iid": (True,),
-        "noniid": (False,),
-        "both": (True, False),
-    }[args.distribution]
+    result = ScenarioRunner(workers=args.workers).run(spec)
+    print(result.table)
+    if args.out:
+        paths = persist_result(
+            result, args.out, manifest=run_manifest(spec, command=command)
+        )
+        for path in paths.values():
+            print(f"saved {path}")
+    return 0
+
+
+def _cmd_table5(args: argparse.Namespace) -> int:
+    from repro.scenario import accuracy_spec
+
+    distributions = (
+        ("iid", "noniid") if args.distribution == "both" else (args.distribution,)
+    )
     attacks = ("type1", "type2") if args.attack == "both" else (args.attack,)
-    cells = run_table5(
-        cfg,
+    spec = accuracy_spec(
+        _base_config(args),
+        name="table5",
         fractions=tuple(args.fractions),
         distributions=distributions,
         attacks=attacks,
         n_runs=args.repeats,
-        workers=args.workers,
     )
-    print(format_table5(cells))
-    if args.out:
-        path = save_cells_json(args.out / "table5.json", cells)
-        print(f"saved {path}")
-    return 0
+    return _run_spec(args, spec, "table5")
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
@@ -430,7 +442,7 @@ def _cmd_tolerance(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from repro.experiments.matrix import DEFAULT_ATTACKS, DEFAULT_DEFENCES
-    from repro.scenario import FaultSpec, ScenarioRunner, matrix_spec
+    from repro.scenario import FaultSpec, matrix_spec
 
     faults = None
     if args.drop_messages > 0:
@@ -449,18 +461,11 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         dim=args.dim,
         n_trials=args.trials,
     )
-    result = ScenarioRunner(workers=args.workers).run(spec)
-    print(result.table)
-    return 0
+    return _run_spec(args, spec, "matrix")
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.scenario import (
-        ScenarioRunner,
-        load_shipped_spec,
-        resolve_spec,
-        shipped_spec_names,
-    )
+    from repro.scenario import load_shipped_spec, resolve_spec, shipped_spec_names
 
     if args.scenario_command == "list":
         for name in shipped_spec_names():
@@ -480,20 +485,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             else:
                 print(f"{ref}: ok ({spec.kind}, {len(spec.fractions)} fractions)")
         return 1 if failures else 0
-    spec = resolve_spec(args.spec)
-    result = ScenarioRunner(workers=getattr(args, "workers", None)).run(spec)
-    print(result.table)
-    if args.out:
-        from repro.scenario.runner import persist_result, run_manifest
-
-        paths = persist_result(
-            result,
-            args.out,
-            manifest=run_manifest(spec, command=f"scenario run {args.spec}"),
-        )
-        for path in paths.values():
-            print(f"saved {path}")
-    return 0
+    return _run_spec(args, resolve_spec(args.spec), f"scenario run {args.spec}")
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

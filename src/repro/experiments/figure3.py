@@ -8,17 +8,11 @@ of the paper's figure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.setup import (
-    ExperimentConfig,
-    build_abdhfl_trainer,
-    build_vanilla_trainer,
-    prepare_data,
-)
-from repro.utils.seeding import iter_run_seeds
+from repro.experiments.setup import ExperimentConfig, paired_accuracy_histories
 
 __all__ = ["ConvergenceCurve", "run_figure3"]
 
@@ -71,17 +65,7 @@ def run_figure3(
     """One scenario's pair of curves: (ABD-HFL, vanilla FL)."""
     if n_runs <= 0:
         raise ValueError(f"n_runs must be positive, got {n_runs}")
-    abd_runs: list[list[float]] = []
-    van_runs: list[list[float]] = []
-    for run_seed in iter_run_seeds(config.seed, n_runs):
-        run_cfg = replace(config, seed=run_seed)
-        data = prepare_data(run_cfg)
-        abd = build_abdhfl_trainer(run_cfg, data)
-        abd.run(run_cfg.n_rounds)
-        abd_runs.append([r.test_accuracy for r in abd.history])
-        van = build_vanilla_trainer(run_cfg, data)
-        van.run(run_cfg.n_rounds)
-        van_runs.append([r.test_accuracy for r in van.history])
+    abd_runs, van_runs = paired_accuracy_histories(config, n_runs)
     return (
         _curve("ABD-HFL", config, abd_runs),
         _curve("Vanilla FL", config, van_runs),

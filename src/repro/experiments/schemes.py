@@ -8,7 +8,7 @@ bill — the quantitative counterpart of Table IV's qualitative entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.schemes import SCHEME_DESCRIPTIONS, scheme_config
 from repro.experiments.setup import (
@@ -46,19 +46,18 @@ def run_scheme_comparison(
     *where* each mechanism is deployed — exactly Table III's axis.
     """
     config = config or ExperimentConfig(malicious_fraction=0.3)
+    data = prepare_data(config)
     outcomes: list[SchemeOutcome] = []
     for scheme in schemes:
-        cfg = replace(config)
-        data = prepare_data(cfg)
         abd_config = scheme_config(
             scheme,
-            bra_name=cfg.partial_aggregator,
-            bra_options=cfg.partial_options,
+            bra_name=config.partial_aggregator,
+            bra_options=config.partial_options,
             cba_name=cba_name,
-            training=cfg.training_config(),
+            training=config.training_config(),
         )
-        trainer = build_abdhfl_trainer(cfg, data, abdhfl_config=abd_config)
-        trainer.run(cfg.n_rounds)
+        trainer = build_abdhfl_trainer(config, data, abdhfl_config=abd_config)
+        trainer.run(config.n_rounds)
         measured = [r.model_messages for r in trainer.history]
         analytic = scheme_round_cost(data.hierarchy, scheme)
         desc = SCHEME_DESCRIPTIONS[scheme]

@@ -4,6 +4,8 @@
 builds the dataset/partition/poisoning stage; the two ``build_*`` helpers
 assemble trainers so ABD-HFL and vanilla FL always train on *identical*
 shards from *identical* initial weights — the comparison the paper makes.
+:func:`paired_accuracy_histories` repeats that comparison over sibling
+seeds (the loop Table V cells and Figure 3 curves share).
 
 The default configuration is the documented reduced scale (DESIGN.md);
 ``ExperimentConfig.paper_scale()`` restores the full Appendix D settings.
@@ -28,7 +30,7 @@ from repro.data.synthetic_mnist import SyntheticMNIST, make_synthetic_mnist
 from repro.faults.plan import FaultPlan
 from repro.nn.model import MLP
 from repro.topology.tree import Hierarchy, assign_byzantine, build_ecsm
-from repro.utils.seeding import SeedSequenceFactory
+from repro.utils.seeding import SeedSequenceFactory, iter_run_seeds
 
 __all__ = [
     "ExperimentConfig",
@@ -36,6 +38,7 @@ __all__ = [
     "prepare_data",
     "build_abdhfl_trainer",
     "build_vanilla_trainer",
+    "paired_accuracy_histories",
 ]
 
 
@@ -267,3 +270,23 @@ def build_vanilla_trainer(
         model_attack=model_attack,
         seed=data.seed,
     )
+
+
+def paired_accuracy_histories(
+    config: ExperimentConfig, n_runs: int
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Train ABD-HFL and vanilla FL once per sibling seed of
+    ``config.seed``; returns both systems' per-round test accuracies,
+    one list per run."""
+    abd_runs: list[list[float]] = []
+    van_runs: list[list[float]] = []
+    for run_seed in iter_run_seeds(config.seed, n_runs):
+        run_cfg = replace(config, seed=run_seed)
+        data = prepare_data(run_cfg)
+        abd = build_abdhfl_trainer(run_cfg, data)
+        abd.run(run_cfg.n_rounds)
+        abd_runs.append([r.test_accuracy for r in abd.history])
+        van = build_vanilla_trainer(run_cfg, data)
+        van.run(run_cfg.n_rounds)
+        van_runs.append([r.test_accuracy for r in van.history])
+    return abd_runs, van_runs

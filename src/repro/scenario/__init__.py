@@ -5,10 +5,13 @@ distribution, adversary axes, consensus backend + adversary, fault plan,
 metrics, seeds) is expanded into an ordered cell grid and executed by
 :class:`ScenarioRunner` through the existing trainer / gradient-
 estimation machinery with `repro.parallel` fan-out and `repro.obs`
-tracing.  The legacy entrypoints (``run_table5``, ``run_defence_matrix``,
-``breakdown_curve``) are thin shims over canonical specs shipped in
-``repro/scenario/specs/*.toml``; ``tests/test_scenario_equivalence.py``
-pins bit-identical equivalence.
+tracing.  It is the only grid driver: the CLI (``table5``, ``matrix``,
+``scenario run``), the benchmarks and the examples all build a spec with
+:func:`accuracy_spec` / :func:`matrix_spec` (or load one of the
+canonical specs shipped in ``repro/scenario/specs/*.toml``) and call
+``ScenarioRunner(workers).run(spec)``.  ``tests/test_scenario_equivalence.py``
+pins the runner bit-identical to plain loops over the single-cell
+primitives.
 """
 
 from repro.scenario.grid import ScenarioCell, expand_cells
@@ -25,7 +28,6 @@ from repro.scenario.runner import (
     ScenarioRunner,
     load_shipped_spec,
     resolve_spec,
-    run_scenario,
     shipped_spec_names,
 )
 from repro.scenario.spec import (
@@ -69,7 +71,6 @@ __all__ = [
     "dumps_toml",
     "render_result",
     "render_matrix_grid",
-    "run_scenario",
     "shipped_spec_names",
     "load_shipped_spec",
     "resolve_spec",

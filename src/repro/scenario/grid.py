@@ -1,44 +1,38 @@
 """Grid expansion: from one :class:`ScenarioSpec` to ordered cells.
 
-The expansion order is part of the golden-equivalence contract with the
-legacy entrypoints (``tests/test_scenario_equivalence.py``):
+The expansion order is part of the golden-equivalence contract pinned
+against the inlined oracle loops in ``tests/test_scenario_equivalence.py``:
 
 ``accuracy_grid``
-    ``for distribution: for attack: for fraction`` — the paper row order
-    :func:`repro.experiments.table5.run_table5` always produced.
+    ``for distribution: for attack: for fraction`` — the paper's Table V
+    row order.
 ``defence_matrix``
-    ``for fraction: for defence: for attack`` — with a single fraction
-    this is exactly :func:`repro.experiments.matrix.run_defence_matrix`'s
+    ``for fraction: for defence: for attack`` — with a single fraction,
     ``for defence: for attack``.
 ``breakdown_curve``
     ``for fraction`` along the axis, one (defence, attack) pair.
 
 Cell seeds follow the spec's ``seed_policy``: ``"shared"`` hands every
-cell the root seed (the legacy behaviour — cells already derive
-independent streams internally), ``"derived"`` gives cell ``i``
-``derive_seed(seed, "cell", i)``.
+cell the root seed (cells already derive independent streams
+internally), ``"derived"`` gives cell ``i`` ``derive_seed(seed, "cell",
+i)``.
 
 The ``_run_cell_task`` / ``_gap_cell_task`` functions are module-level so
 :func:`repro.parallel.parallel_map` can ship ``(spec, cell)`` tuples to
-spawn workers.  They import the experiment machinery lazily: the legacy
-modules import :mod:`repro.scenario` at module scope (for the shims), so
-an eager import here would be circular.  Calling through the *module*
-(``matrix.gradient_gap``) rather than a bound name also keeps the tests
+spawn workers.  They call through the experiment *modules*
+(``matrix.gradient_gap``) rather than bound names, which keeps the tests
 that monkeypatch ``matrix.get_aggregator`` effective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, replace
+from typing import Callable
 
+from repro.experiments import matrix, table5
 from repro.scenario.options import defence_options_for
 from repro.scenario.spec import ScenarioSpec
 from repro.utils.seeding import derive_seed
-
-if TYPE_CHECKING:
-    from repro.experiments.matrix import MatrixCell
-    from repro.experiments.table5 import Table5Cell
 
 __all__ = ["ScenarioCell", "cell_seed", "expand_cells", "cell_task"]
 
@@ -99,17 +93,15 @@ def expand_cells(spec: ScenarioSpec) -> list[ScenarioCell]:
 
 def cell_task(
     spec: ScenarioSpec,
-) -> Callable[[tuple[ScenarioSpec, ScenarioCell]], "Table5Cell | MatrixCell"]:
+) -> Callable[
+    [tuple[ScenarioSpec, ScenarioCell]], table5.Table5Cell | matrix.MatrixCell
+]:
     """The spawn-safe task function evaluating one of ``spec``'s cells."""
     return _run_cell_task if spec.kind == "accuracy_grid" else _gap_cell_task
 
 
-def _run_cell_task(task: tuple[ScenarioSpec, ScenarioCell]) -> "Table5Cell":
+def _run_cell_task(task: tuple[ScenarioSpec, ScenarioCell]) -> table5.Table5Cell:
     """One trainer-based accuracy cell -> :class:`Table5Cell`."""
-    from dataclasses import replace
-
-    from repro.experiments import table5
-
     spec, cell = task
     config = replace(
         spec.base_experiment_config().for_distribution(
@@ -122,10 +114,8 @@ def _run_cell_task(task: tuple[ScenarioSpec, ScenarioCell]) -> "Table5Cell":
     return table5.run_cell(config, n_runs=spec.n_runs)
 
 
-def _gap_cell_task(task: tuple[ScenarioSpec, ScenarioCell]) -> "MatrixCell":
+def _gap_cell_task(task: tuple[ScenarioSpec, ScenarioCell]) -> matrix.MatrixCell:
     """One gradient-estimation cell -> :class:`MatrixCell`."""
-    from repro.experiments import matrix
-
     spec, cell = task
     defence = cell.defence
     assert defence is not None

@@ -1,13 +1,9 @@
-"""Defence parameterisation shared by the scenario layer and the legacy
-experiment surface.
+"""Defence parameterisation for the gradient-estimation scenario kinds.
 
 :func:`defence_options_for` is the single source of truth for deriving a
-rule's options from the Byzantine fraction it operates at.  It lives here
-(not in :mod:`repro.experiments.matrix`) so the declarative scenario
-runner and the legacy sweep shims can never diverge: the legacy module
-imports *this* function, and ``tests/test_scenario_spec.py`` pins the
-import identity (``matrix.defence_options_for is
-scenario.options.defence_options_for``).
+rule's options from the Byzantine fraction it operates at; the grid
+(:mod:`repro.scenario.grid`) applies it to every ``defence_matrix`` and
+``breakdown_curve`` cell whose spec leaves ``defence_options`` unset.
 """
 
 from __future__ import annotations
@@ -22,9 +18,8 @@ def defence_options_for(defence: str, byzantine_fraction: float) -> dict | None:
     Byzantine fraction it faces: trimmed-mean must trim at least that
     share from each tail, Krum/Multi-Krum size their neighbour sets from
     it.  Evaluating a 10 % or 40 % adversary with options hard-coded for
-    the canonical 25 % (the old ``DEFENCE_OPTIONS`` table) silently
-    measured a mis-parameterised defence.  Returns ``None`` for rules
-    that take no fraction parameter.
+    a canonical 25 % would silently measure a mis-parameterised defence.
+    Returns ``None`` for rules that take no fraction parameter.
     """
     if defence == "trimmed_mean":
         # beta must stay below 0.5 (both tails are trimmed); past that

@@ -4,8 +4,7 @@ One entrypoint, :func:`render_result`, turns the ordered cell list of any
 scenario kind into the text table the CLI prints:
 
 - ``accuracy_grid`` renders the paper's Table-V layout
-  (:func:`repro.experiments.table5.format_table5` — the byte-identical
-  legacy renderer).
+  (:func:`repro.experiments.table5.format_table5`).
 - ``defence_matrix`` renders one defence x attack grid per Byzantine
   fraction, matching the layout ``python -m repro matrix`` has always
   printed (consensus header included when a backend is composed).
@@ -14,13 +13,12 @@ scenario kind into the text table the CLI prints:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from repro.experiments.matrix import MatrixCell
+from repro.experiments.table5 import format_table5
 from repro.scenario.spec import ScenarioSpec
 from repro.utils.tables import format_percent, format_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.matrix import MatrixCell
 
 __all__ = ["render_result", "render_matrix_grid", "render_breakdown"]
 
@@ -28,8 +26,6 @@ __all__ = ["render_result", "render_matrix_grid", "render_breakdown"]
 def render_result(spec: ScenarioSpec, cells: Sequence) -> str:
     """The report table for ``cells`` produced by ``spec``."""
     if spec.kind == "accuracy_grid":
-        from repro.experiments.table5 import format_table5
-
         return format_table5(list(cells))
     if spec.kind == "defence_matrix":
         blocks = []
@@ -46,7 +42,7 @@ def render_result(spec: ScenarioSpec, cells: Sequence) -> str:
 
 
 def render_matrix_grid(
-    cells: Sequence["MatrixCell"],
+    cells: Sequence[MatrixCell],
     spec: ScenarioSpec | None = None,
     title: str | None = None,
 ) -> str:
@@ -71,7 +67,7 @@ def render_matrix_grid(
     return "\n".join(lines)
 
 
-def render_breakdown(cells: Sequence["MatrixCell"]) -> str:
+def render_breakdown(cells: Sequence[MatrixCell]) -> str:
     """The empirical breakdown curve of one (defence, attack) pair."""
     if not cells:
         return format_table(["fraction", "gap"], [], title="breakdown curve")

@@ -6,8 +6,8 @@
 knob — results and merged traces are bit-identical for any value), and
 renders the uniform report.  The runner adds *no* trace events of its
 own: everything in a trace comes from the underlying trainer/consensus
-machinery, so a spec-driven run's trace is byte-identical to the legacy
-entrypoint it replaces.
+machinery, so a spec-driven run's trace is byte-identical to the plain
+loop over the same cells.
 
 Canonical specs ship inside the package (``repro/scenario/specs/*.toml``)
 and are addressable by bare name from the CLI (``scenario run table5``).
@@ -18,8 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
+from repro.experiments.io import (
+    collect_registries,
+    save_records_csv,
+    save_records_json,
+)
 from repro.obs import audit
 from repro.parallel import parallel_map
 from repro.scenario.grid import ScenarioCell, cell_task, expand_cells
@@ -30,7 +35,6 @@ from repro.scenario.spec import ScenarioSpec
 __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
-    "run_scenario",
     "run_manifest",
     "persist_result",
     "shipped_spec_names",
@@ -71,13 +75,6 @@ class ScenarioRunner:
         return ScenarioResult(spec=spec, grid=tuple(grid), cells=cells)
 
 
-def run_scenario(
-    spec: ScenarioSpec, workers: int | None = None
-) -> ScenarioResult:
-    """Convenience wrapper: ``ScenarioRunner(workers).run(spec)``."""
-    return ScenarioRunner(workers=workers).run(spec)
-
-
 # ----------------------------------------------------------------------
 # run artifacts
 # ----------------------------------------------------------------------
@@ -87,10 +84,6 @@ def run_manifest(
     """The provenance manifest for one spec run (see
     :mod:`repro.obs.audit`): full spec dict, seed-tree root, registered
     rule/protocol/attack names, package version."""
-    # Experiment-layer import kept lazy: experiments.matrix imports this
-    # module, so a top-level import would be a cycle.
-    from repro.experiments.io import collect_registries
-
     return audit.build_manifest(
         command=command,
         spec=spec.to_dict(),
@@ -113,8 +106,6 @@ def persist_result(
     ``audit.jsonl``, making the directory a self-contained forensic unit
     ``python -m repro audit <dir>`` consumes.
     """
-    from repro.experiments.io import save_records_csv, save_records_json
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}

@@ -26,8 +26,8 @@ Three scenario kinds cover the paper's experiment families:
     One (defence, attack) pair swept along the fraction axis, with the
     defence re-parameterised per fraction.
 
-Seed semantics: ``seed_policy="shared"`` (the legacy behaviour and the
-golden-equivalence baseline) hands every cell the spec's root seed;
+Seed semantics: ``seed_policy="shared"`` (the default, pinned by the
+golden-equivalence oracles) hands every cell the spec's root seed;
 ``"derived"`` gives cell ``i`` the stable child seed
 ``derive_seed(seed, "cell", i)`` so cells draw independent streams.
 """
@@ -36,15 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dataclass_fields
 from math import isfinite
-from typing import TYPE_CHECKING, Any, Mapping
-
-if TYPE_CHECKING:
-    from repro.experiments.setup import ExperimentConfig
+from typing import Any, Mapping
 
 from repro.aggregation.base import available_aggregators
 from repro.attacks.base import available_attacks
 from repro.consensus.async_bft.adversary import ADVERSARIES
 from repro.consensus.registry import CONSENSUS_NAMES
+from repro.experiments.setup import ExperimentConfig
 from repro.faults.plan import FaultPlan
 
 __all__ = [
@@ -67,8 +65,9 @@ __all__ = [
 KINDS = ("accuracy_grid", "defence_matrix", "breakdown_curve")
 
 #: Data-poisoning attacks the trainer-based grid dispatches through
-#: :func:`repro.data.poisoning.apply_poisoning`.
-DATA_ATTACKS = ("none", "type1", "type2", "label_flip", "backdoor")
+#: :func:`repro.data.poisoning.apply_poisoning` — the ones that need no
+#: per-attack arguments (``label_flip`` and ``backdoor`` do).
+DATA_ATTACKS = ("none", "type1", "type2")
 
 #: Byzantine placement strategies (:func:`repro.topology.tree.assign_byzantine`).
 PLACEMENTS = ("random", "prefix", "spread", "worst_case")
@@ -211,26 +210,6 @@ class FaultSpec:
             max_retries=self.max_retries,
             retry_backoff=self.retry_backoff,
             leader_timeout=self.leader_timeout,
-        )
-
-    @classmethod
-    def from_plan(cls, plan: FaultPlan, where: str = "faults") -> "FaultSpec":
-        """Recover the spec from a uniform plan (raises otherwise)."""
-        if plan.per_link or plan.partitions or plan.crashes:
-            _fail(
-                where,
-                "only uniform fault plans (no per-link overrides, "
-                "partitions or crash schedules) are expressible in a "
-                "scenario spec; build the plan in code instead",
-            )
-        return cls(
-            seed=plan.seed,
-            drop_probability=plan.default_link.drop_probability,
-            duplicate_probability=plan.default_link.duplicate_probability,
-            reorder_jitter=plan.default_link.reorder_jitter,
-            max_retries=plan.max_retries,
-            retry_backoff=plan.retry_backoff,
-            leader_timeout=plan.leader_timeout,
         )
 
     def validate(self, where: str = "faults") -> None:
@@ -480,11 +459,9 @@ class ScenarioSpec:
         """The metrics the runner reports (kind default when unset)."""
         return self.metrics or KIND_METRICS[self.kind]
 
-    def base_experiment_config(self) -> "ExperimentConfig":
+    def base_experiment_config(self) -> ExperimentConfig:
         """The :class:`ExperimentConfig` every accuracy-grid cell derives
         from (per-cell attack/fraction/distribution applied on top)."""
-        from repro.experiments.setup import ExperimentConfig
-
         return ExperimentConfig(
             n_levels=self.topology.n_levels,
             cluster_size=self.topology.cluster_size,
@@ -706,10 +683,10 @@ def _as_list(value: Any, path: str) -> list:
 
 
 # ----------------------------------------------------------------------
-# spec builders (the legacy entrypoints construct specs through these)
+# spec builders (Python callers construct specs through these)
 # ----------------------------------------------------------------------
 def accuracy_spec(
-    config: "ExperimentConfig | None" = None,
+    config: ExperimentConfig | None = None,
     *,
     name: str = "accuracy-grid",
     description: str = "",
@@ -724,11 +701,10 @@ def accuracy_spec(
 
     Per-cell fields of ``config`` (``iid`` / ``attack`` /
     ``malicious_fraction``) and the per-distribution aggregator pairing
-    are grid concerns and are ignored here, exactly as
-    :func:`repro.experiments.table5.run_table5` always did.
+    are grid concerns and are ignored here: the grid sets them per cell
+    (:meth:`ExperimentConfig.for_distribution` picks the paper's
+    multikrum-for-IID / median-for-non-IID pairing).
     """
-    from repro.experiments.setup import ExperimentConfig
-
     config = config or ExperimentConfig()
     return ScenarioSpec(
         name=name,
@@ -786,18 +762,8 @@ def matrix_spec(
     defence_options: dict | None = None,
     attack_options: dict | None = None,
     faults: FaultSpec | None = None,
-    fault_plan: FaultPlan | None = None,
 ) -> ScenarioSpec:
-    """A gradient-estimation spec (defence matrix or breakdown curve).
-
-    ``fault_plan`` accepts a ready :class:`FaultPlan` for legacy callers;
-    it must be uniform (:meth:`FaultSpec.from_plan`) and is mutually
-    exclusive with ``faults``.
-    """
-    if fault_plan is not None:
-        if faults is not None:
-            _fail("faults", "pass either faults or fault_plan, not both")
-        faults = FaultSpec.from_plan(fault_plan)
+    """A gradient-estimation spec (defence matrix or breakdown curve)."""
     return ScenarioSpec(
         name=name,
         kind=kind,

@@ -5,9 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments.matrix import breakdown_curve
 from repro.experiments.setup import ExperimentConfig, prepare_data
 from repro.experiments import build_abdhfl_trainer
+from repro.scenario import ScenarioRunner, matrix_spec
+
+
+def breakdown_curve(defence, attack, fractions, n_trials=8):
+    spec = matrix_spec(
+        kind="breakdown_curve",
+        defences=(defence,),
+        attacks=(attack,),
+        fractions=fractions,
+        n_trials=n_trials,
+    )
+    return ScenarioRunner(workers=1).run(spec).cells
 
 
 class TestBreakdownCurve:

@@ -617,7 +617,7 @@ class TestMatrixConsensusAxis:
     KW = dict(
         defences=("median",),
         attacks=("sign_flip",),
-        byzantine_fraction=0.2,
+        fractions=(0.2,),
         n_total=7,
         dim=8,
         n_trials=2,
@@ -628,9 +628,9 @@ class TestMatrixConsensusAxis:
     )
 
     def test_cells_carry_consensus_labels(self):
-        from repro.experiments.matrix import run_defence_matrix
+        from repro.scenario import ScenarioRunner, matrix_spec
 
-        cells = run_defence_matrix(workers=1, **self.KW)
+        cells = ScenarioRunner(workers=1).run(matrix_spec(**self.KW)).cells
         assert all(c.consensus == "acs" for c in cells)
         assert all(c.consensus_adversary == "equivocate" for c in cells)
         assert all(np.isfinite(c.gap) for c in cells)
@@ -653,12 +653,11 @@ class TestMatrixConsensusAxis:
     def test_bit_identical_across_worker_counts(self):
         """The acs matrix under an active fault plan shards cleanly:
         REPRO_WORKERS is a pure wall-clock knob, never a results knob."""
-        from repro.experiments.matrix import run_defence_matrix
+        from repro.scenario import FaultSpec, ScenarioRunner, matrix_spec
 
-        kw = dict(
-            self.KW,
-            fault_plan=FaultPlan.uniform(drop_probability=0.05, seed=11),
+        spec = matrix_spec(
+            **self.KW, faults=FaultSpec(seed=11, drop_probability=0.05)
         )
-        serial = run_defence_matrix(workers=1, **kw)
-        sharded = run_defence_matrix(workers=2, **kw)
+        serial = ScenarioRunner(workers=1).run(spec).cells
+        sharded = ScenarioRunner(workers=2).run(spec).cells
         assert serial == sharded

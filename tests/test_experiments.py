@@ -10,13 +10,13 @@ from repro.experiments import (
     build_abdhfl_trainer,
     build_vanilla_trainer,
     prepare_data,
-    run_defence_matrix,
     run_figure3,
     gradient_gap,
 )
 from repro.experiments.table5 import Table5Cell, format_table5, run_cell
 from repro.experiments.theorem2 import run_theorem2
 from repro.experiments.schemes import run_scheme_comparison
+from repro.scenario import ScenarioRunner, matrix_spec
 
 
 TINY = ExperimentConfig(
@@ -171,11 +171,13 @@ class TestDefenceMatrix:
         assert broken > 10 * robust
 
     def test_matrix_shape(self):
-        cells = run_defence_matrix(
+        spec = matrix_spec(
             defences=("fedavg", "median"),
             attacks=("sign_flip", "ipm"),
+            fractions=(0.25,),
             n_trials=2,
         )
+        cells = ScenarioRunner().run(spec).cells
         assert len(cells) == 4
 
     def test_validation(self):

@@ -7,12 +7,12 @@ from repro.cli import build_parser, main
 from repro.core.trainer import RoundRecord
 from repro.core.vanilla import VanillaRoundRecord
 from repro.experiments.io import (
-    load_cells_json,
     load_curves_npz,
     load_history_csv,
-    save_cells_json,
+    load_records_json,
     save_curves_npz,
     save_history_csv,
+    save_records_json,
 )
 from repro.experiments.table5 import Table5Cell
 
@@ -52,15 +52,15 @@ class TestCellsJSON:
             Table5Cell(True, "type1", 0.5, 0.88, 0.10, 0.01, 0.0, 2),
             Table5Cell(False, "type2", 0.0, 0.55, 0.50),
         ]
-        path = save_cells_json(tmp_path / "cells.json", cells)
-        back = load_cells_json(path)
+        path = save_records_json(tmp_path / "cells.json", cells)
+        back = [Table5Cell(**record) for record in load_records_json(path)]
         assert back == cells
 
     def test_non_list_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"not": "a list"}')
         with pytest.raises(ValueError):
-            load_cells_json(path)
+            load_records_json(path)
 
 
 class TestCurvesNPZ:
@@ -119,9 +119,29 @@ class TestCLI:
             ]
         )
         assert code == 0
-        assert (tmp_path / "table5.json").exists()
-        cells = load_cells_json(tmp_path / "table5.json")
-        assert len(cells) == 1
+        assert not (tmp_path / "table5.json").exists()
+        for name in ("report.txt", "cells.csv", "manifest.json"):
+            assert (tmp_path / name).stat().st_size > 0, name
+        [cell] = [
+            Table5Cell(**record)
+            for record in load_records_json(tmp_path / "cells.json")
+        ]
+        assert (cell.attack, cell.malicious_fraction) == ("type1", 0.0)
+        report = (tmp_path / "report.txt").read_text()
+        assert report == capsys.readouterr().out.split("saved ")[0]
+
+    def test_matrix_with_out(self, tmp_path, capsys):
+        out = tmp_path / "mx"
+        argv = ["matrix", "--n-total", "7", "--dim", "8", "--trials", "2"]
+        assert main(["--out", str(out), *argv]) == 0
+        printed = capsys.readouterr().out
+        for name in ("report.txt", "cells.json", "cells.csv", "manifest.json"):
+            assert (out / name).stat().st_size > 0, name
+        assert printed.startswith((out / "report.txt").read_text())
+        assert len(load_records_json(out / "cells.json")) == 45  # 9 x 5
+        # --out only adds artifacts: the printed report is unchanged
+        assert main(argv) == 0
+        assert printed.startswith(capsys.readouterr().out)
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

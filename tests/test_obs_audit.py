@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.experiments.matrix import gradient_gap, run_defence_matrix
+from repro.experiments.matrix import gradient_gap
 from repro.obs import audit
 from repro.obs.audit_report import build_audit_report, diff_audit
+from repro.scenario import ScenarioRunner, matrix_spec
 from test_determinism_subprocess import _run_child
 
 # ----------------------------------------------------------------------
@@ -179,13 +180,14 @@ def test_ground_truth_matches_injected_attackers():
 @pytest.mark.slow
 def test_audit_stream_worker_invariant_in_process():
     def jsonl(workers: int) -> str:
+        spec = matrix_spec(
+            defences=("median", "krum"),
+            attacks=("sign_flip",),
+            fractions=(0.25,),
+            n_trials=1,
+        )
         with audit.scoped(audit.Auditor()) as au:
-            run_defence_matrix(
-                defences=("median", "krum"),
-                attacks=("sign_flip",),
-                n_trials=1,
-                workers=workers,
-            )
+            ScenarioRunner(workers=workers).run(spec)
         assert au.records, "audited sweep recorded nothing"
         return au.to_jsonl()
 
@@ -194,17 +196,19 @@ def test_audit_stream_worker_invariant_in_process():
 
 AUDIT_CHILD = """
 import hashlib
-from repro.experiments.matrix import run_defence_matrix
 from repro.obs import audit
+from repro.scenario import ScenarioRunner, matrix_spec
 
+spec = matrix_spec(
+    defences=("median", "trimmed_mean", "krum"),
+    attacks=("sign_flip", "scaling"),
+    fractions=(0.25,),
+    n_trials=2,
+    n_total=8,
+    dim=6,
+)
 with audit.scoped(audit.Auditor()) as au:
-    run_defence_matrix(
-        defences=("median", "trimmed_mean", "krum"),
-        attacks=("sign_flip", "scaling"),
-        n_trials=2,
-        n_total=8,
-        dim=6,
-    )
+    ScenarioRunner().run(spec)
 print(hashlib.sha256(au.to_jsonl().encode()).hexdigest())
 """
 

@@ -13,13 +13,7 @@ import pytest
 
 from repro.core.config import ABDHFLConfig
 from repro.experiments import matrix
-from repro.experiments.matrix import (
-    DEFENCE_OPTIONS,
-    MatrixCell,
-    breakdown_curve,
-    defence_options_for,
-    run_defence_matrix,
-)
+from repro.experiments.matrix import MatrixCell
 from repro.obs import Tracer, trace
 from repro.parallel import (
     ENV_VAR,
@@ -28,6 +22,7 @@ from repro.parallel import (
     parallel_map,
     resolve_workers,
 )
+from repro.scenario import ScenarioRunner, defence_options_for, matrix_spec
 
 
 @pytest.fixture(autouse=True)
@@ -154,11 +149,15 @@ class TestDefenceOptionsFor:
             assert defence_options_for(defence, 0.40) is None
 
     def test_legacy_table_is_the_25_percent_view(self):
-        assert DEFENCE_OPTIONS == {
+        # the options the matrix once hard-coded for every fraction are
+        # exactly the derivation at the canonical 25 %, so 25 % cells
+        # keep their historical numbers
+        legacy = {
             "trimmed_mean": {"beta": 0.25},
             "krum": {"byzantine_fraction": 0.25},
             "multikrum": {"byzantine_fraction": 0.25},
         }
+        assert {d: defence_options_for(d, 0.25) for d in legacy} == legacy
 
 
 class TestMatrixUsesDerivedOptions:
@@ -176,12 +175,13 @@ class TestMatrixUsesDerivedOptions:
             return real(name, **options)
 
         monkeypatch.setattr(matrix, "get_aggregator", recording)
-        cells = run_defence_matrix(
+        spec = matrix_spec(
             defences=("trimmed_mean", "krum", "median"),
             attacks=("sign_flip",),
-            byzantine_fraction=fraction,
+            fractions=(fraction,),
             n_trials=1,
         )
+        cells = ScenarioRunner(workers=1).run(spec).cells
         assert seen["trimmed_mean"] == {"beta": fraction}
         assert seen["krum"] == {"byzantine_fraction": fraction}
         assert seen["median"] == {}
@@ -197,15 +197,25 @@ class TestMatrixUsesDerivedOptions:
             return real(name, **options)
 
         monkeypatch.setattr(matrix, "get_aggregator", recording)
-        cells = breakdown_curve(
-            "trimmed_mean", "sign_flip", fractions=(0.1, 0.3), n_trials=1
+        spec = matrix_spec(
+            kind="breakdown_curve",
+            defences=("trimmed_mean",),
+            attacks=("sign_flip",),
+            fractions=(0.1, 0.3),
+            n_trials=1,
         )
+        cells = ScenarioRunner(workers=1).run(spec).cells
         assert betas == [0.1, 0.3]
         assert [c.attack for c in cells] == ["sign_flip", "sign_flip"]
 
     def test_breakdown_curve_rejects_untrimmable_fractions(self):
-        with pytest.raises(ValueError, match=r"\[0, 0.5\)"):
-            breakdown_curve("median", "sign_flip", fractions=(0.5,))
+        with pytest.raises(ValueError, match=r"fractions\[0\].*\[0, 0.5\)"):
+            matrix_spec(
+                kind="breakdown_curve",
+                defences=("median",),
+                attacks=("sign_flip",),
+                fractions=(0.5,),
+            )
 
     def test_cells_are_plain_dataclasses(self):
         cell = MatrixCell("median", "sign_flip", 0.25, 1.0)

@@ -26,9 +26,9 @@ from repro.core.config import ABDHFLConfig
 from repro.core.local import LocalTrainer
 from repro.core.pool import DeviceSpec, LocalTrainingPool, TrainJob, _train_shard
 from repro.core.trainer import ABDHFLTrainer
-from repro.experiments.matrix import run_defence_matrix
 from repro.obs import Tracer, trace
 from repro.parallel import ParameterSlab
+from repro.scenario import ScenarioRunner, matrix_spec
 from repro.utils.seeding import seeded_generator
 from test_core_trainer import default_config, small_setup
 from test_determinism_subprocess import (
@@ -45,16 +45,17 @@ TABLE5_CHILD = """
 import hashlib
 import numpy as np
 from repro.experiments import ExperimentConfig
-from repro.experiments.table5 import run_table5
+from repro.scenario import ScenarioRunner, accuracy_spec
 
 cfg = ExperimentConfig(
     n_levels=2, cluster_size=4, n_top=2, image_side=8,
     samples_per_client=50, n_test=200, n_rounds=2, hidden=(16,),
 )
-cells = run_table5(
-    cfg, fractions=(0.0, 0.5), distributions=(True,), attacks=("type1",),
+spec = accuracy_spec(
+    cfg, fractions=(0.0, 0.5), distributions=("iid",), attacks=("type1",),
     n_runs=1,
 )
+cells = ScenarioRunner().run(spec).cells
 digest = hashlib.sha256()
 for c in cells:
     digest.update(np.float64(c.malicious_fraction).tobytes())
@@ -132,14 +133,14 @@ def test_config_workers_validated_and_serial_by_default():
 
 @pytest.mark.slow
 def test_matrix_cells_identical_across_worker_counts():
-    kwargs = dict(
+    spec = matrix_spec(
         defences=("median", "trimmed_mean", "krum"),
         attacks=("sign_flip", "scaling"),
-        byzantine_fraction=0.25,
+        fractions=(0.25,),
         n_trials=2,
     )
-    serial = run_defence_matrix(workers=1, **kwargs)
-    sharded = run_defence_matrix(workers=3, **kwargs)
+    serial = ScenarioRunner(workers=1).run(spec).cells
+    sharded = ScenarioRunner(workers=3).run(spec).cells
     # Dataclass equality is exact: the gap floats must match bit for bit,
     # in the same (defence, attack) order.
     assert serial == sharded
@@ -150,14 +151,16 @@ def test_matrix_trace_is_byte_identical_across_worker_counts():
     """Per-worker trace shards merged in input order must serialise to
     exactly the serial trace — the schema-valid JSONL a report consumes."""
 
+    spec = matrix_spec(
+        defences=("median", "krum"),
+        attacks=("sign_flip",),
+        fractions=(0.25,),
+        n_trials=1,
+    )
+
     def jsonl(workers: int) -> str:
         with trace.scoped(Tracer()) as tr:
-            run_defence_matrix(
-                defences=("median", "krum"),
-                attacks=("sign_flip",),
-                n_trials=1,
-                workers=workers,
-            )
+            ScenarioRunner(workers=workers).run(spec)
         assert tr.events, "traced sweep recorded nothing"
         return tr.to_jsonl()
 

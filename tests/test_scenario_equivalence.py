@@ -1,14 +1,13 @@
-"""Golden equivalence: the scenario layer reproduces every legacy
-entrypoint bit for bit.
+"""Golden equivalence: the scenario runner reproduces plain sweep loops
+bit for bit.
 
-Each legacy sweep body (pre-refactor ``run_table5`` /
-``run_defence_matrix`` / ``breakdown_curve``) is inlined here as a golden
-oracle — plain loops over the single-cell primitives (``run_cell``,
-``gradient_gap``) exactly as the functions were written before they
-became spec shims.  The suite then pins, for the same seeds:
+The Table V grid, the defence matrix and the breakdown curve were once
+hand-written loops over the single-cell primitives (``run_cell``,
+``gradient_gap``).  Those loop bodies are inlined here, verbatim, as
+golden oracles.  The suite then pins, for the same seeds:
 
-* oracle cells == shim cells == ``ScenarioRunner`` cells (dataclass
-  equality is exact float equality — bit identity);
+* oracle cells == ``ScenarioRunner`` cells (dataclass equality is exact
+  float equality — bit identity);
 * identical rendered report tables;
 * byte-identical merged traces (the runner adds no events of its own);
 * worker count as a pure wall-clock knob (workers>1 and a slow-marked
@@ -22,14 +21,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments.matrix import (
-    MatrixCell,
-    breakdown_curve,
-    gradient_gap,
-    run_defence_matrix,
-)
+from repro.experiments.matrix import MatrixCell, gradient_gap
 from repro.experiments.setup import ExperimentConfig
-from repro.experiments.table5 import format_table5, run_cell, run_table5
+from repro.experiments.table5 import format_table5, run_cell
 from repro.faults.plan import FaultPlan
 from repro.obs import Tracer, trace
 from repro.scenario import (
@@ -55,7 +49,7 @@ TINY = ExperimentConfig(
 
 
 # ----------------------------------------------------------------------
-# golden oracles: the pre-refactor sweep bodies, verbatim
+# golden oracles: the hand-written sweep bodies, verbatim
 # ----------------------------------------------------------------------
 def legacy_run_table5(base_config, fractions, distributions, attacks, n_runs=1):
     cells = []
@@ -146,7 +140,6 @@ ACS_KW = dict(
 class TestDefenceMatrixEquivalence:
     def test_oracle_shim_and_runner_agree(self):
         oracle = legacy_run_defence_matrix(**MATRIX_KW)
-        shim = run_defence_matrix(workers=1, **MATRIX_KW)
         spec = matrix_spec(
             defences=MATRIX_KW["defences"],
             attacks=MATRIX_KW["attacks"],
@@ -155,7 +148,7 @@ class TestDefenceMatrixEquivalence:
             n_trials=MATRIX_KW["n_trials"],
         )
         result = ScenarioRunner(workers=1).run(spec)
-        assert oracle == shim == result.cells
+        assert oracle == result.cells
         assert np.array_equal(
             [c.gap for c in oracle], [c.gap for c in result.cells]
         )
@@ -168,7 +161,6 @@ class TestDefenceMatrixEquivalence:
     def test_acs_consensus_adversaries(self, adversary):
         kw = dict(ACS_KW, consensus="acs", consensus_adversary=adversary)
         oracle = legacy_run_defence_matrix(**kw)
-        shim = run_defence_matrix(workers=1, **kw)
         spec = matrix_spec(
             defences=kw["defences"],
             attacks=kw["attacks"],
@@ -182,7 +174,7 @@ class TestDefenceMatrixEquivalence:
             consensus_adversary=adversary,
         )
         result = ScenarioRunner(workers=1).run(spec)
-        assert oracle == shim == result.cells
+        assert oracle == result.cells
         assert all(np.isfinite(c.gap) for c in result.cells)
         assert render_result(spec, oracle) == result.table
 
@@ -195,7 +187,6 @@ class TestDefenceMatrixEquivalence:
             fault_plan=plan,
         )
         oracle = legacy_run_defence_matrix(**kw)
-        shim = run_defence_matrix(workers=1, **kw)
         spec = matrix_spec(
             defences=kw["defences"],
             attacks=kw["attacks"],
@@ -210,7 +201,8 @@ class TestDefenceMatrixEquivalence:
             faults=FaultSpec(seed=11, drop_probability=0.05),
         )
         result = ScenarioRunner(workers=1).run(spec)
-        assert oracle == shim == result.cells
+        assert spec.fault_plan() == plan
+        assert oracle == result.cells
 
     def test_workers_are_a_pure_wall_clock_knob(self):
         spec = matrix_spec(
@@ -231,9 +223,6 @@ class TestBreakdownEquivalence:
         oracle = legacy_breakdown_curve(
             "trimmed_mean", "sign_flip", fractions, seed=4, n_trials=2
         )
-        shim = breakdown_curve(
-            "trimmed_mean", "sign_flip", fractions=fractions, seed=4, n_trials=2
-        )
         spec = matrix_spec(
             kind="breakdown_curve",
             defences=("trimmed_mean",),
@@ -243,7 +232,7 @@ class TestBreakdownEquivalence:
             n_trials=2,
         )
         result = ScenarioRunner(workers=1).run(spec)
-        assert oracle == shim == result.cells
+        assert oracle == result.cells
         # fraction 0 measured the clean baseline but kept the attack label
         assert result.cells[0].attack == "sign_flip"
         assert render_result(spec, oracle) == result.table
@@ -308,7 +297,6 @@ TABLE5_KW = dict(
 class TestTable5Equivalence:
     def test_oracle_shim_and_runner_agree(self):
         oracle = legacy_run_table5(TINY, **TABLE5_KW)
-        shim = run_table5(TINY, workers=1, **TABLE5_KW)
         spec = accuracy_spec(
             TINY,
             fractions=TABLE5_KW["fractions"],
@@ -317,7 +305,7 @@ class TestTable5Equivalence:
             n_runs=1,
         )
         result = ScenarioRunner(workers=1).run(spec)
-        assert oracle == shim == result.cells
+        assert oracle == result.cells
         assert np.array_equal(
             [c.abdhfl_accuracy for c in oracle],
             [c.abdhfl_accuracy for c in result.cells],

@@ -1,6 +1,6 @@
 """Scenario-spec contract: round-trip identity, path-named validation
-errors, deterministic grid expansion, and the single-source-of-truth
-import identity for defence option derivation."""
+errors, deterministic grid expansion, and defence options derived from
+the one :func:`defence_options_for`."""
 
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ import pytest
 
 from repro.experiments import matrix
 from repro.experiments.setup import ExperimentConfig
-from repro.faults.plan import FaultPlan, LinkFaults
 from repro.scenario import (
     FaultSpec,
+    ScenarioRunner,
     ScenarioSpec,
     accuracy_spec,
     dumps_toml,
@@ -23,7 +23,6 @@ from repro.scenario import (
     matrix_spec,
     shipped_spec_names,
 )
-from repro.scenario import options as scenario_options
 from repro.utils.seeding import derive_seed
 
 # ----------------------------------------------------------------------
@@ -31,7 +30,7 @@ from repro.utils.seeding import derive_seed
 # ----------------------------------------------------------------------
 DEFENCES = ("fedavg", "median", "trimmed_mean", "krum", "multikrum", "geomed")
 MODEL_ATTACKS = ("none", "sign_flip", "gaussian_noise", "alie", "ipm", "scaling")
-DATA_ATTACKS = ("none", "type1", "type2", "label_flip", "backdoor")
+DATA_ATTACKS = ("none", "type1", "type2")
 
 
 def random_spec(rng: np.random.Generator) -> ScenarioSpec:
@@ -121,12 +120,21 @@ class TestRoundTrip:
 
     def test_fault_spec_round_trips_through_plan(self):
         fs = FaultSpec(seed=11, drop_probability=0.05, reorder_jitter=1.5)
-        assert FaultSpec.from_plan(fs.to_plan()) == fs
-
-    def test_non_uniform_plan_rejected(self):
-        plan = FaultPlan(per_link={(0, 1): LinkFaults(drop_probability=0.5)})
-        with pytest.raises(ValueError, match="faults.*uniform"):
-            FaultSpec.from_plan(plan)
+        plan = fs.to_plan()
+        link = plan.default_link
+        assert not (plan.per_link or plan.partitions or plan.crashes)
+        assert (
+            FaultSpec(
+                seed=plan.seed,
+                drop_probability=link.drop_probability,
+                duplicate_probability=link.duplicate_probability,
+                reorder_jitter=link.reorder_jitter,
+                max_retries=plan.max_retries,
+                retry_backoff=plan.retry_backoff,
+                leader_timeout=plan.leader_timeout,
+            )
+            == fs
+        )
 
 
 class TestValidationNamesThePath:
@@ -165,6 +173,13 @@ class TestValidationNamesThePath:
                 attacks=("gaussian", "sign_flip"),
                 fractions=(0.2,),
             )
+
+    @pytest.mark.parametrize("attack", ["backdoor", "label_flip"])
+    def test_accuracy_grid_rejects_attacks_needing_arguments(self, attack):
+        # the grid calls apply_poisoning without per-attack arguments
+        # (trigger target, flip source/target), so these cannot run
+        with pytest.raises(ValueError, match=rf"attacks\[0\].*{attack}"):
+            accuracy_spec(fractions=(0.2,), attacks=(attack,))
 
     def test_gradient_fraction_at_half_rejected_with_path(self):
         with pytest.raises(ValueError, match=r"fractions\[1\].*\[0, 0.5\)"):
@@ -300,13 +315,25 @@ class TestGridExpansion:
 
 
 class TestSingleSourceOfTruth:
-    def test_matrix_imports_scenario_defence_options(self):
-        # The legacy module must re-export the scenario layer's function
-        # object itself — import identity means the two can never diverge.
-        assert matrix.defence_options_for is scenario_options.defence_options_for
+    def test_legacy_options_table_derives_from_it(self, monkeypatch):
+        # a spec without defence_options hands every cell the derived
+        # options; at 25 % that is the matrix's historical fixed table
+        seen: dict[str, dict] = {}
+        real = matrix.get_aggregator
 
-    def test_legacy_options_table_derives_from_it(self):
-        assert matrix.DEFENCE_OPTIONS == {
+        def recording(name: str, **options):
+            seen[name] = dict(options)
+            return real(name, **options)
+
+        monkeypatch.setattr(matrix, "get_aggregator", recording)
+        spec = matrix_spec(
+            defences=("trimmed_mean", "krum", "multikrum"),
+            attacks=("none",),
+            fractions=(0.25,),
+            n_trials=1,
+        )
+        ScenarioRunner(workers=1).run(spec)
+        assert seen == {
             "trimmed_mean": {"beta": 0.25},
             "krum": {"byzantine_fraction": 0.25},
             "multikrum": {"byzantine_fraction": 0.25},
@@ -327,15 +354,3 @@ class TestBuilders:
             partial_aggregator="multikrum",
             partial_options={"byzantine_fraction": 0.25},
         )
-
-    def test_matrix_spec_accepts_legacy_fault_plan(self):
-        plan = FaultPlan.uniform(drop_probability=0.05, seed=11)
-        spec = matrix_spec(
-            defences=("median",),
-            attacks=("sign_flip",),
-            fractions=(0.2,),
-            consensus="acs",
-            fault_plan=plan,
-        )
-        assert spec.faults == FaultSpec(seed=11, drop_probability=0.05)
-        assert spec.fault_plan() == plan
