@@ -210,9 +210,9 @@ def check(report: dict) -> list[str]:
         if row["workers"] > 1:
             if not row["used_shm"]:
                 failures.append(
-                    f"workers={row['workers']}: pool fell back to pickled "
-                    "vectors; the shared-memory replay proved nothing "
-                    "(is /dev/shm available?)"
+                    f"workers={row['workers']}: no pool with attached "
+                    "shared-memory slabs ran; the parallel replay proved "
+                    "nothing"
                 )
             if row["digest"] != serial["digest"]:
                 failures.append(

@@ -29,6 +29,7 @@ from repro.consensus.base import CostModel
 from repro.core.config import ABDHFLConfig
 from repro.core.correction import AdaptiveCorrection, CorrectionPolicy
 from repro.core.local import GlobalArrival, LocalTrainer
+from repro.core.pool import Job, LocalFanout
 from repro.data.dataset import Dataset
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.faults.rounds import RoundFaultInjector
@@ -36,25 +37,12 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.obs import audit, trace
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
-from repro.core.pool import DeviceSpec, LocalTrainingPool, TrainJob
 from repro.parallel import resolve_workers
 from repro.topology.cluster import Cluster
 from repro.topology.tree import Hierarchy
 from repro.utils.seeding import SeedSequenceFactory
 
-__all__ = ["RoundRecord", "ABDHFLTrainer", "make_consensus"]
-
-def make_consensus(
-    name: str,
-    options: dict | None = None,
-    validator: ModelValidator | None = None,
-) -> ConsensusProtocol:
-    """Instantiate a consensus protocol by registry name.
-
-    Back-compat alias for :func:`repro.consensus.get_consensus`, which is
-    the canonical registry.
-    """
-    return get_consensus(name, options, validator)
+__all__ = ["RoundRecord", "ABDHFLTrainer"]
 
 
 @dataclass
@@ -70,7 +58,7 @@ class RoundRecord:
     model_messages: int = 0
 
 
-class ABDHFLTrainer:
+class ABDHFLTrainer(LocalFanout):
     """Executes ABD-HFL over a hierarchy of local trainers.
 
     Parameters
@@ -214,16 +202,15 @@ class ABDHFLTrainer:
             if spec.kind == "bra":
                 self._level_bra[level] = get_aggregator(spec.name, **dict(spec.options))
             else:
-                self._level_cba[level] = make_consensus(
+                self._level_cba[level] = get_consensus(
                     spec.name, dict(spec.options), validator=self.validator
                 )
 
-        # Process-level parallelism for local training (repro.parallel):
+        # Process-level parallelism for local training (LocalFanout):
         # the pool is created lazily on the first parallel round and
         # rebuilt after membership churn.  workers == 1 keeps the serial
         # code path untouched.
         self.workers = resolve_workers(config.workers)
-        self._pool: LocalTrainingPool | None = None
 
         # Cross-round kernel reuse: last round's ParameterMatrix per
         # aggregation site, keyed by (level, cluster) and guarded by the
@@ -393,28 +380,6 @@ class ABDHFLTrainer:
         self.close()
         return joined, departed
 
-    def close(self) -> None:
-        """Shut down the parallel training pool, if one was created.
-
-        Safe to call at any time; the next parallel round recreates the
-        pool from the current membership.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ABDHFLTrainer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort: never raise at GC/shutdown
-        try:
-            self.close()
-        except Exception:
-            pass
-
     def evaluate_vector(self, vector: np.ndarray) -> float:
         """Test accuracy of an arbitrary parameter vector."""
         self._eval_model.set_flat(vector)
@@ -424,69 +389,15 @@ class ABDHFLTrainer:
     # phases
     # ------------------------------------------------------------------
     def _local_training(self) -> tuple[dict[int, np.ndarray], list[float]]:
-        if self.workers > 1:
-            return self._local_training_parallel()
-        local_models: dict[int, np.ndarray] = {}
-        losses: list[float] = []
-        bottom_level = self.hierarchy.bottom_level
-        for cluster in self.hierarchy.clusters_at(bottom_level):
+        jobs: list[Job] = []
+        for cluster in self.hierarchy.clusters_at(self.hierarchy.bottom_level):
             start = self._start_vector_for(cluster)
             arrival = self._global_arrival_for(cluster)
             for device in cluster.members:
                 if self._fault is not None and self._fault.is_crashed(device):
                     continue  # crash-stopped: no compute, no upload
-                trainer = self.trainers[device]
-                local_models[device] = trainer.train_round(start, arrival)
-                losses.extend(trainer.last_losses)
-        return local_models, losses
-
-    def _local_training_parallel(self) -> tuple[dict[int, np.ndarray], list[float]]:
-        """Fan the round's local SGD out to the worker pool.
-
-        Jobs are built in exactly the serial iteration order (cluster,
-        then member), each carrying the device's exported round-trip
-        state; results are imported back in that same order, so the
-        parent trainers — RNG streams, optimiser state, model weights,
-        ``last_losses`` — end the round bit-identical to a serial run.
-        """
-        if self._pool is None:
-            specs = [
-                DeviceSpec(
-                    device_id=device,
-                    dataset=trainer.dataset,
-                    config=trainer.config,
-                )
-                for device, trainer in sorted(self.trainers.items())
-            ]
-            self._pool = LocalTrainingPool(self._eval_model, specs, self.workers)
-        jobs: list[TrainJob] = []
-        bottom_level = self.hierarchy.bottom_level
-        for cluster in self.hierarchy.clusters_at(bottom_level):
-            start = self._start_vector_for(cluster)
-            arrival = self._global_arrival_for(cluster)
-            for device in cluster.members:
-                if self._fault is not None and self._fault.is_crashed(device):
-                    continue  # crash-stopped: no compute, no upload
-                jobs.append(
-                    TrainJob(
-                        device_id=device,
-                        start_vector=start,
-                        arrival=arrival,
-                        state=self.trainers[device].export_state_delta(),
-                    )
-                )
-        results = self._pool.train_round(jobs)
-        local_models: dict[int, np.ndarray] = {}
-        losses: list[float] = []
-        for job in jobs:  # fixed reduction order == serial iteration order
-            result = results[job.device_id]
-            trainer = self.trainers[job.device_id]
-            trainer.import_state_delta(result.state)
-            trainer.model.set_flat(result.vector)
-            trainer.last_losses = list(result.losses)
-            local_models[job.device_id] = result.vector
-            losses.extend(result.losses)
-        return local_models, losses
+                jobs.append((device, start, arrival))
+        return self._train_devices(jobs)
 
     def _start_vector_for(self, cluster: Cluster) -> np.ndarray:
         if not self.config.pipeline_mode or self.round_index == 0:

@@ -16,12 +16,15 @@ provides two fan-out surfaces, both with a hard bit-identity contract:
   :mod:`repro.core`, because it replays :class:`~repro.core.local.LocalTrainer`
   rounds) runs per-device local SGD steps in persistent spawn workers
   built on this module's :func:`spawn_context`.  Device datasets and
-  model replicas ship once at pool creation; every round the parent
-  sends each device's *round-trip state* (RNG bit-generator state,
-  optimiser state, start vector, global-arrival merge) and receives the
-  trained vector, per-iteration losses and the advanced state back, so
-  the parent-side trainers remain the single source of truth,
-  byte-for-byte equal to a serial run after every round.
+  model replicas ship once at pool creation.  The pool is built from
+  the parent trainers and owns the round trip: every round it publishes
+  each device's start vector into a shared-memory
+  :class:`~repro.parallel.shm.ParameterSlab` (the only transport),
+  sends the parent's state delta (RNG stream position, optimiser slots)
+  and any global-arrival merge, and imports the trained vector, the
+  per-iteration losses and the advanced state back into the parents in
+  job order, so the parent-side trainers remain the single source of
+  truth, byte-for-byte equal to a serial run after every round.
 
 Gating follows the sanitize/trace pattern: ``workers=1`` (the default)
 *is* the serial code path — a plain comprehension, no pool, no pickling
@@ -41,18 +44,12 @@ Spawn-safety rules (see DESIGN.md "Parallel execution"):
   never from completion order.
 """
 
-from repro.parallel.config import (
-    ENV_VAR,
-    ParallelConfig,
-    env_workers,
-    resolve_workers,
-)
+from repro.parallel.config import ENV_VAR, env_workers, resolve_workers
 from repro.parallel.pool import parallel_map, spawn_context
 from repro.parallel.shm import ParameterSlab
 
 __all__ = [
     "ENV_VAR",
-    "ParallelConfig",
     "env_workers",
     "resolve_workers",
     "parallel_map",

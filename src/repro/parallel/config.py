@@ -11,9 +11,8 @@ zero-overhead guarantee checkable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-__all__ = ["ENV_VAR", "ParallelConfig", "env_workers", "resolve_workers"]
+__all__ = ["ENV_VAR", "env_workers", "resolve_workers"]
 
 #: Environment variable consulted when no explicit worker count is given.
 #: Accepts a positive integer or ``auto`` (one worker per CPU).
@@ -60,21 +59,3 @@ def resolve_workers(workers: int | None = None) -> int:
     from_env = env_workers()
     return 1 if from_env is None else from_env
 
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Declarative worker configuration for embedding in other configs.
-
-    ``workers=None`` defers to ``REPRO_WORKERS`` / serial — mirroring how
-    ``ABDHFLConfig.sanitize``/``trace`` defer to their environment gates.
-    """
-
-    workers: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-    def resolved(self) -> int:
-        """The effective worker count (explicit > env > 1)."""
-        return resolve_workers(self.workers)

@@ -1,15 +1,14 @@
 """Shared-memory parameter slabs for round-level fan-out.
 
-:class:`repro.core.pool.LocalTrainingPool` used to pickle every device's
-start vector into its :class:`~repro.core.pool.TrainJob` and every
-trained vector back out of its :class:`~repro.core.pool.TrainResult` —
-two full copies of the parameter set through the pipe per round.  A
-:class:`ParameterSlab` replaces that traffic with one POSIX
-shared-memory segment per direction, viewed as a device-ordered
-``(rows, dim)`` float64 ndarray:
+:class:`repro.core.pool.LocalTrainingPool` moves every device's start
+vector to its workers, and every trained vector back, through two
+:class:`ParameterSlab` objects — one POSIX shared-memory segment per
+direction, viewed as a device-ordered ``(rows, dim)`` float64 ndarray —
+so no per-round parameter bytes go through the pipe.  The slabs are the
+pool's only transport:
 
 * **Deterministic layout.**  Row ``i`` belongs to the ``i``-th device of
-  the pool's (sorted) spec list, fixed for the life of the pool.  The
+  the pool's sorted device ids, fixed for the life of the pool.  The
   layout is part of the bit-identity argument: which worker writes a row
   cannot matter because *where* each vector lives is a pure function of
   the device id.
@@ -21,7 +20,8 @@ shared-memory segment per direction, viewed as a device-ordered
   previous epoch) fails loudly instead of silently training on old
   bytes.
 * **Explicit lifecycle.**  The parent (the only creator) unlinks each
-  segment exactly once, from ``LocalTrainingPool.close()``.  Workers
+  segment exactly once, from ``LocalTrainingPool.close()`` (or from
+  its constructor, when pool creation fails part-way).  Workers
   attach read/write views but never unlink; the shared
   ``resource_tracker`` sees one registered name retired by that single
   unlink, so worker exit neither removes a live segment nor warns

@@ -601,13 +601,6 @@ class TestTrainerWithACS:
         assert record.consensus_cost.model_messages > 0
         assert record.consensus_cost.scalar_messages > 0
 
-    def test_make_consensus_backcompat(self):
-        from repro.core.trainer import make_consensus
-
-        assert isinstance(make_consensus("acs"), ACSConsensus)
-        with pytest.raises(KeyError):
-            make_consensus("raft")
-
 
 # ---------------------------------------------------------------------------
 # defence matrix with the consensus axis

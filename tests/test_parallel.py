@@ -15,14 +15,10 @@ from repro.core.config import ABDHFLConfig
 from repro.experiments import matrix
 from repro.experiments.matrix import MatrixCell
 from repro.obs import Tracer, trace
-from repro.parallel import (
-    ENV_VAR,
-    ParallelConfig,
-    env_workers,
-    parallel_map,
-    resolve_workers,
-)
+from repro.core.vanilla import VanillaFLTrainer
+from repro.parallel import ENV_VAR, env_workers, parallel_map, resolve_workers
 from repro.scenario import ScenarioRunner, defence_options_for, matrix_spec
+from test_core_vanilla_schemes import TRAIN_CFG, vanilla_setup
 
 
 @pytest.fixture(autouse=True)
@@ -68,18 +64,26 @@ class TestResolveWorkers:
 
 
 class TestParallelConfig:
+    """The trainer-level worker knob resolves explicit > REPRO_WORKERS >
+    serial when the trainer is built (the pool itself starts lazily)."""
+
+    @staticmethod
+    def _trainer(workers):
+        datasets, model, test = vanilla_setup(n_clients=2)
+        return VanillaFLTrainer(datasets, model, TRAIN_CFG, test, workers=workers)
+
     def test_none_defers_to_env_then_serial(self, monkeypatch):
-        assert ParallelConfig().resolved() == 1
+        assert self._trainer(None).workers == 1
         monkeypatch.setenv(ENV_VAR, "6")
-        assert ParallelConfig().resolved() == 6
+        assert self._trainer(None).workers == 6
 
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "6")
-        assert ParallelConfig(workers=2).resolved() == 2
+        assert self._trainer(2).workers == 2
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            ParallelConfig(workers=0)
+            self._trainer(0)
 
     def test_abdhfl_config_validates_workers(self):
         assert ABDHFLConfig(workers=2).workers == 2

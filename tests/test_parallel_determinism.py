@@ -5,9 +5,9 @@ wall-clock knob: ``workers=N`` must reproduce the serial run bit for bit —
 model state, losses, sweep cells, and the merged observability trace.
 These tests pin that contract at both fan-out surfaces:
 
-* **round-level** — the ABD-HFL trainer's per-node local training,
-  dispatched to a persistent spawn pool (``LocalTrainingPool``) with the
-  full RNG/optimizer state round-trip;
+* **round-level** — both trainers' per-device local training,
+  dispatched to a persistent spawn pool (``LocalTrainingPool``) that owns
+  the RNG/optimizer state round trip over shared-memory slabs;
 * **sweep-level** — experiment drivers sharding independent cells through
   :func:`repro.parallel.parallel_map` with ordered reduction and per-task
   trace scoping.
@@ -22,15 +22,19 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.config import ABDHFLConfig
+from repro.core import pool as pool_mod
+from repro.core.config import ABDHFLConfig, TrainingConfig
 from repro.core.local import LocalTrainer
-from repro.core.pool import DeviceSpec, LocalTrainingPool, TrainJob, _train_shard
+from repro.core.pool import LocalTrainingPool, _train_shard, _WireJob
 from repro.core.trainer import ABDHFLTrainer
+from repro.core.vanilla import VanillaFLTrainer
+from repro.nn.model import Sequential
 from repro.obs import Tracer, trace
 from repro.parallel import ParameterSlab
 from repro.scenario import ScenarioRunner, matrix_spec
 from repro.utils.seeding import seeded_generator
 from test_core_trainer import default_config, small_setup
+from test_core_vanilla_schemes import vanilla_setup
 from test_determinism_subprocess import (
     TRACE_HASH_SUFFIX,
     TRAINER_CHILD,
@@ -105,13 +109,13 @@ def test_parallel_trainer_state_matches_serial_in_process():
             )
             assert ref.last_losses == par.last_losses
             assert ref.rng.bit_generator.state == par.rng.bit_generator.state
-            ref_opt = ref.export_state()["optimizer"]
-            par_opt = par.export_state()["optimizer"]
-            assert ref_opt["step_count"] == par_opt["step_count"]
-            if ref_opt["velocity"] is None:
-                assert par_opt["velocity"] is None
+            ref_steps, ref_velocity = ref.optimizer.export_slots()
+            par_steps, par_velocity = par.optimizer.export_slots()
+            assert ref_steps == par_steps
+            if ref_velocity is None:
+                assert par_velocity is None
             else:
-                for rv, pv in zip(ref_opt["velocity"], par_opt["velocity"]):
+                for rv, pv in zip(ref_velocity, par_velocity):
                     np.testing.assert_array_equal(rv, pv)
         assert [r.test_accuracy for r in serial.history] == [
             r.test_accuracy for r in parallel.history
@@ -119,6 +123,42 @@ def test_parallel_trainer_state_matches_serial_in_process():
     finally:
         parallel.close()
         serial.close()
+
+
+@pytest.mark.slow
+def test_vanilla_parallel_training_matches_serial():
+    """The vanilla baseline shares the one local-training dispatch:
+    ``workers=2`` must leave the global model, the history and every
+    client's RNG stream, optimiser slots and losses equal to serial."""
+
+    def run(workers: int) -> VanillaFLTrainer:
+        datasets, model, test = vanilla_setup(n_clients=6, poison_ids=(0,))
+        cfg = TrainingConfig(
+            local_iterations=8, batch_size=16, learning_rate=0.3, momentum=0.5
+        )
+        trainer = VanillaFLTrainer(
+            datasets, model, cfg, test, aggregator="multikrum",
+            aggregator_options={"byzantine_fraction": 0.2}, seed=4,
+            workers=workers,
+        )
+        trainer.run(3)
+        return trainer
+
+    serial = run(1)
+    with run(2) as parallel:
+        assert parallel._pool is not None and parallel._pool.uses_shm
+        assert serial.global_model.tobytes() == parallel.global_model.tobytes()
+        assert serial.history == parallel.history
+        for cid in sorted(serial.trainers):
+            ref, par = serial.trainers[cid], parallel.trainers[cid]
+            assert ref.rng.bit_generator.state == par.rng.bit_generator.state
+            ref_steps, ref_velocity = ref.optimizer.export_slots()
+            par_steps, par_velocity = par.optimizer.export_slots()
+            assert ref_steps == par_steps
+            for rv, pv in zip(ref_velocity, par_velocity):
+                np.testing.assert_array_equal(rv, pv)
+            assert ref.last_losses == par.last_losses
+    assert parallel._pool is None
 
 
 @pytest.mark.slow
@@ -228,135 +268,97 @@ class TestParameterSlab:
 
 
 def _fanout_parents(
-    specs: list[DeviceSpec], model
-) -> dict[int, LocalTrainer]:
-    return {
-        spec.device_id: LocalTrainer(
-            device_id=spec.device_id,
-            dataset=spec.dataset,
+    seed: int, n_devices: int
+) -> tuple[Sequential, dict[int, LocalTrainer]]:
+    """The model template and ``n_devices`` parent trainers, each with
+    its own stream."""
+    hierarchy, datasets, model, test = small_setup(seed=seed)
+    cfg = default_config().training
+    parents = {
+        cid: LocalTrainer(
+            device_id=cid,
+            dataset=datasets[cid],
             model=model.clone(),
-            config=spec.config,
-            rng=seeded_generator(1000 + spec.device_id),
+            config=cfg,
+            rng=seeded_generator(1000 + cid),
         )
-        for spec in specs
+        for cid in sorted(datasets)[:n_devices]
     }
+    return model, parents
 
 
 def _run_fanout_rounds(
-    model,
-    specs: list[DeviceSpec],
+    model: Sequential,
+    parents: dict[int, LocalTrainer],
     pool: LocalTrainingPool | None,
     n_rounds: int = 2,
-) -> tuple[dict[int, np.ndarray], dict[int, LocalTrainer]]:
+) -> dict[int, np.ndarray]:
     """Drive ``n_rounds`` of per-device SGD serially or through ``pool``,
     chaining each round's start from the mean of the previous round."""
-    parents = _fanout_parents(specs, model)
     start = model.get_flat()
-    vectors: dict[int, np.ndarray] = {}
     for _ in range(n_rounds):
         if pool is None:
-            for spec in specs:
-                vectors[spec.device_id] = parents[spec.device_id].train_round(
-                    start, None
-                )
+            vectors = [parents[cid].train_round(start) for cid in parents]
         else:
-            jobs = [
-                TrainJob(
-                    device_id=spec.device_id,
-                    start_vector=start,
-                    arrival=None,
-                    state=parents[spec.device_id].export_state_delta(),
-                )
-                for spec in specs
-            ]
-            results = pool.train_round(jobs)
-            for spec in specs:
-                result = results[spec.device_id]
-                parents[spec.device_id].import_state_delta(result.state)
-                parents[spec.device_id].last_losses = list(result.losses)
-                vectors[spec.device_id] = result.vector
-        start = np.mean(np.stack([vectors[s.device_id] for s in specs]), axis=0)
-    return vectors, parents
+            vectors = pool.train_round([(cid, start, None) for cid in parents])
+        start = np.mean(np.stack(vectors), axis=0)
+    return dict(zip(parents, vectors))
 
 
 @pytest.mark.slow
-def test_shm_and_pickled_transports_bit_identical_to_serial():
-    """The transport (shared-memory slabs vs pickled vectors) and the
-    worker count only move bytes: per-device vectors, losses and RNG /
-    optimiser states must match the serial run bit for bit."""
-    hierarchy, datasets, model, test = small_setup(seed=11)
-    cfg = default_config().training
-    specs = [DeviceSpec(cid, datasets[cid], cfg) for cid in sorted(datasets)[:6]]
-
-    serial_vecs, serial_parents = _run_fanout_rounds(model, specs, pool=None)
-    for use_shm in (True, False):
-        pool = LocalTrainingPool(model, specs, workers=3, use_shm=use_shm)
-        slab_names = (
-            [slab.name for slab in pool._slabs] if pool.uses_shm else []
-        )
-        try:
-            assert pool.uses_shm is use_shm
-            vecs, parents = _run_fanout_rounds(model, specs, pool=pool)
-        finally:
-            pool.close()
-        for name in slab_names:  # leak check: close() must unlink
-            if ON_POSIX_SHM:
-                assert not _segment_exists(name), f"leaked segment {name}"
-        for spec in specs:
-            cid = spec.device_id
-            label = f"device {cid} (use_shm={use_shm})"
-            assert serial_vecs[cid].tobytes() == vecs[cid].tobytes(), label
-            assert (
-                serial_parents[cid].last_losses == parents[cid].last_losses
-            ), label
-            assert (
-                serial_parents[cid].export_state_delta()[:5]
-                == parents[cid].export_state_delta()[:5]
-            ), label
+def test_shm_transport_bit_identical_to_serial():
+    """The shared-memory transport and the worker count only move bytes:
+    per-device vectors, losses and RNG / optimiser states must match the
+    serial run bit for bit."""
+    model, serial_parents = _fanout_parents(seed=11, n_devices=6)
+    serial_vecs = _run_fanout_rounds(model, serial_parents, pool=None)
+    model, parents = _fanout_parents(seed=11, n_devices=6)
+    pool = LocalTrainingPool(parents, workers=3)
+    slab_names = [slab.name for slab in pool._slabs]
+    try:
+        assert pool.uses_shm
+        vecs = _run_fanout_rounds(model, parents, pool=pool)
+    finally:
+        pool.close()
+    assert not pool.uses_shm
+    for name in slab_names:  # leak check: close() must unlink
+        if ON_POSIX_SHM:
+            assert not _segment_exists(name), f"leaked segment {name}"
+    for cid in parents:
+        label = f"device {cid}"
+        assert serial_vecs[cid].tobytes() == vecs[cid].tobytes(), label
+        assert serial_parents[cid].last_losses == parents[cid].last_losses, label
+        assert (
+            serial_parents[cid].export_state_delta()[:5]
+            == parents[cid].export_state_delta()[:5]
+        ), label
 
 
 @pytest.mark.slow
 def test_stale_generation_jobs_fail_loudly():
     """A job whose generation does not match the slab stamp must be
     refused by the worker, not silently trained on stale bytes."""
-    hierarchy, datasets, model, test = small_setup(seed=13)
-    cfg = default_config().training
-    specs = [DeviceSpec(cid, datasets[cid], cfg) for cid in sorted(datasets)[:2]]
-    pool = LocalTrainingPool(model, specs, workers=2, use_shm=True)
-    try:
-        parents = _fanout_parents(specs, model)
+    model, parents = _fanout_parents(seed=13, n_devices=2)
+    with LocalTrainingPool(parents, workers=2) as pool:
         start = model.get_flat()
-        jobs = [
-            TrainJob(
-                device_id=spec.device_id,
-                start_vector=start,
-                arrival=None,
-                state=parents[spec.device_id].export_state_delta(),
-            )
-            for spec in specs
-        ]
-        pool.train_round(jobs)  # legitimate round: generation = 1
-        stale = TrainJob(
-            device_id=specs[0].device_id,
-            start_vector=None,
-            arrival=None,
-            state=parents[specs[0].device_id].export_state_delta(),
+        pool.train_round([(cid, start, None) for cid in parents])  # generation 1
+        device = next(iter(parents))
+        stale = _WireJob(
+            device_id=device,
             row=0,
             generation=999,
+            arrival=None,
+            state=parents[device].export_state_delta(),
         )
         assert pool._pool is not None
         with pytest.raises(RuntimeError, match="stale-generation"):
             pool._pool.apply(_train_shard, (([stale], False),))
-    finally:
-        pool.close()
 
 
 @pytest.mark.slow
 def test_pool_close_unlinks_segments_and_is_idempotent():
-    hierarchy, datasets, model, test = small_setup(seed=17)
-    cfg = default_config().training
-    specs = [DeviceSpec(cid, datasets[cid], cfg) for cid in sorted(datasets)[:2]]
-    pool = LocalTrainingPool(model, specs, workers=2, use_shm=True)
+    model, parents = _fanout_parents(seed=17, n_devices=2)
+    pool = LocalTrainingPool(parents, workers=2)
     assert pool.uses_shm
     names = [slab.name for slab in pool._slabs]
     if ON_POSIX_SHM:
@@ -367,6 +369,45 @@ def test_pool_close_unlinks_segments_and_is_idempotent():
         assert not any(_segment_exists(name) for name in names)
     with pytest.raises(RuntimeError, match="closed"):
         pool.train_round([])
+
+
+class _FailingContext:
+    """A spawn context whose ``Pool()`` raises, as a failed spawn would."""
+
+    def Pool(self, *args, **kwargs):
+        raise OSError("injected pool-creation failure")
+
+
+@pytest.mark.skipif(not ON_POSIX_SHM, reason="needs /dev/shm to list")
+class TestPoolCreationFailure:
+    """A pool whose construction fails part-way must leave ``/dev/shm``
+    as it found it, and say why it failed."""
+
+    def test_pool_spawn_failure_releases_both_slabs(self, monkeypatch):
+        model, parents = _fanout_parents(seed=19, n_devices=2)
+        monkeypatch.setattr(pool_mod, "spawn_context", _FailingContext)
+        before = sorted(os.listdir("/dev/shm"))
+        with pytest.raises(OSError, match="injected"):
+            LocalTrainingPool(parents, workers=2)
+        assert sorted(os.listdir("/dev/shm")) == before
+
+    def test_second_slab_failure_releases_the_first(self, monkeypatch):
+        model, parents = _fanout_parents(seed=19, n_devices=2)
+        create = ParameterSlab.create
+        calls: list[int] = []
+
+        def create_once(rows: int, dim: int) -> ParameterSlab:
+            calls.append(rows)
+            if len(calls) == 2:
+                raise OSError("injected: no space left")
+            return create(rows, dim)
+
+        monkeypatch.setattr(ParameterSlab, "create", create_once)
+        before = sorted(os.listdir("/dev/shm"))
+        with pytest.raises(OSError, match="/dev/shm"):
+            LocalTrainingPool(parents, workers=2)
+        assert len(calls) == 2
+        assert sorted(os.listdir("/dev/shm")) == before
 
 
 @pytest.mark.slow
